@@ -377,7 +377,7 @@ std::vector<Result<SelectResponse>> RpcShardBackend::SelectBatch(
   return results;
 }
 
-Result<ShardHealth> RpcShardBackend::Probe() {
+Result<ShardStatus> RpcShardBackend::Probe() {
   EncodeFn encode = [](double) -> Result<std::string> {
     return std::string();
   };
@@ -401,7 +401,7 @@ std::string RpcShardBackend::name() const {
   return name;
 }
 
-Result<ShardHealth> ProbeServer(const std::string& address,
+Result<ShardStatus> ProbeServer(const std::string& address,
                                 double timeout_seconds) {
   COMPARESETS_ASSIGN_OR_RETURN(Socket socket,
                                Socket::Connect(address, timeout_seconds));
@@ -426,11 +426,12 @@ Status WaitForServerReady(const std::string& address,
   Timer timer;
   Status last = Status::Unavailable("server never probed");
   for (;;) {
-    Result<ShardHealth> health = ProbeServer(address, /*timeout_seconds=*/1.0);
+    Result<ShardStatus> health = ProbeServer(address, /*timeout_seconds=*/1.0);
     if (health.ok() && health.value().ready) return Status::OK();
-    last = health.ok() ? Status::Unavailable("shard not ready, state=" +
-                                             health.value().state)
-                       : health.status();
+    last = health.ok()
+               ? Status::Unavailable(std::string("shard not ready, state=") +
+                                     ShardStateName(health.value().state))
+               : health.status();
     if (timer.ElapsedSeconds() >= timeout_seconds) {
       return Status::Timeout("shard at " + address + " not ready: " +
                              last.ToString());

@@ -83,7 +83,7 @@ class RpcShardBackend : public ShardBackend {
   Result<SelectResponse> Select(const SelectRequest& request) override;
   std::vector<Result<SelectResponse>> SelectBatch(
       const std::vector<SelectRequest>& requests) override;
-  Result<ShardHealth> Probe() override;
+  Result<ShardStatus> Probe() override;
   std::string name() const override;
 
   uint64_t transport_retries() const {
@@ -138,7 +138,7 @@ class RpcShardBackend : public ShardBackend {
 };
 
 /// Probes a shard server once: connect, health round trip.
-Result<ShardHealth> ProbeServer(const std::string& address,
+Result<ShardStatus> ProbeServer(const std::string& address,
                                 double timeout_seconds);
 
 /// Polls ProbeServer until the server reports ready or the timeout

@@ -421,11 +421,11 @@ Result<std::vector<Result<SelectResponse>>> DecodeBatchResponse(
   return results;
 }
 
-std::string EncodeShardHealth(const ShardHealth& health) {
+std::string EncodeShardHealth(const ShardStatus& health) {
   WireWriter writer;
   writer.WriteBool(health.ready);
   writer.WriteU64(health.shard_id);
-  writer.WriteString(health.state);
+  writer.WriteString(ShardStateName(health.state));
   writer.WriteString(health.range.begin);
   writer.WriteString(health.range.end);
   writer.WriteU64(health.corpus_epoch);
@@ -434,12 +434,15 @@ std::string EncodeShardHealth(const ShardHealth& health) {
   return writer.Take();
 }
 
-Result<ShardHealth> DecodeShardHealth(std::string_view payload) {
+Result<ShardStatus> DecodeShardHealth(std::string_view payload) {
   WireReader reader(payload);
-  ShardHealth health;
+  ShardStatus health;
   COMPARESETS_ASSIGN_OR_RETURN(health.ready, reader.ReadBool());
   COMPARESETS_ASSIGN_OR_RETURN(health.shard_id, reader.ReadU64());
-  COMPARESETS_ASSIGN_OR_RETURN(health.state, reader.ReadString());
+  COMPARESETS_ASSIGN_OR_RETURN(std::string state, reader.ReadString());
+  if (!ParseShardState(state, &health.state)) {
+    return Status::ParseError("unknown shard state on the wire: " + state);
+  }
   COMPARESETS_ASSIGN_OR_RETURN(health.range.begin, reader.ReadString());
   COMPARESETS_ASSIGN_OR_RETURN(health.range.end, reader.ReadString());
   COMPARESETS_ASSIGN_OR_RETURN(health.corpus_epoch, reader.ReadU64());

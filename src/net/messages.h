@@ -51,7 +51,7 @@ enum class MessageType : uint16_t {
 /// Stable lowercase name ("select_request", ...) for logs and errors.
 const char* MessageTypeName(MessageType type);
 
-// ShardHealth itself lives in service/backend.h — it is the probe
+// ShardStatus itself lives in service/backend.h — it is the probe
 // surface of every ShardBackend, not just the RPC one.
 
 // --- Status ----------------------------------------------------------------
@@ -84,8 +84,8 @@ Result<std::vector<Result<SelectResponse>>> DecodeBatchResponse(
 
 // --- Health ----------------------------------------------------------------
 
-std::string EncodeShardHealth(const ShardHealth& health);
-Result<ShardHealth> DecodeShardHealth(std::string_view payload);
+std::string EncodeShardHealth(const ShardStatus& health);
+Result<ShardStatus> DecodeShardHealth(std::string_view payload);
 
 // --- Error frame -----------------------------------------------------------
 

@@ -113,7 +113,7 @@ bool ShardServer::Dispatch(Socket& socket, const NetFrame& frame) {
           .ok();
     }
     case MessageType::kHealthRequest: {
-      Result<ShardHealth> health = backend_->Probe();
+      Result<ShardStatus> health = backend_->Probe();
       if (!health.ok()) {
         SendError(socket, health.status());
         return false;

@@ -4,9 +4,31 @@
 
 #include "service/partitioner.h"
 #include "service/request_pipeline.h"
-#include "service/router.h"
 
 namespace comparesets {
+
+const char* ShardStateName(ShardState state) {
+  switch (state) {
+    case ShardState::kServing:
+      return "serving";
+    case ShardState::kSwapping:
+      return "swapping";
+    case ShardState::kDown:
+      return "down";
+  }
+  return "unknown";
+}
+
+bool ParseShardState(const std::string& name, ShardState* out) {
+  for (ShardState state :
+       {ShardState::kServing, ShardState::kSwapping, ShardState::kDown}) {
+    if (name == ShardStateName(state)) {
+      *out = state;
+      return true;
+    }
+  }
+  return false;
+}
 
 LocalShardBackend::LocalShardBackend(std::shared_ptr<SelectionEngine> engine,
                                      ShardKeyRange range)
@@ -21,17 +43,16 @@ std::vector<Result<SelectResponse>> LocalShardBackend::SelectBatch(
   return engine_->SelectBatch(requests);
 }
 
-Result<ShardHealth> LocalShardBackend::Probe() {
-  ShardHealth health;
-  health.ready = true;
-  health.shard_id = engine_->options().shard_id;
-  health.state = ShardStateName(ShardState::kServing);
-  health.range = range_;
-  health.corpus_epoch = engine_->corpus_epoch();
+Result<ShardStatus> LocalShardBackend::Probe() {
+  ShardStatus status;
+  status.ready = true;
+  status.shard_id = engine_->options().shard_id;
+  status.range = range_;
+  status.corpus_epoch = engine_->corpus_epoch();
   std::shared_ptr<const IndexedCorpus> snapshot = engine_->corpus();
-  health.num_instances = snapshot->num_instances();
-  health.num_products = snapshot->corpus().num_products();
-  return health;
+  status.num_instances = snapshot->num_instances();
+  status.num_products = snapshot->corpus().num_products();
+  return status;
 }
 
 std::string LocalShardBackend::name() const {
@@ -63,14 +84,10 @@ Result<LocalBackendSet> CreateLocalBackends(
     }
   }
 
-  // ONE admission pipeline across all shard engines, exactly as
-  // ShardRouter::Create does: max_in_flight stays a machine budget.
-  PipelineOptions pipeline_options;
-  pipeline_options.max_in_flight = engine_options.max_in_flight;
-  pipeline_options.max_queue = engine_options.max_queue;
-  pipeline_options.max_attempts = engine_options.max_attempts;
-  pipeline_options.retry_backoff_seconds = engine_options.retry_backoff_seconds;
-  auto pipeline = std::make_shared<RequestPipeline>(pipeline_options);
+  // ONE admission pipeline across all shard engines: max_in_flight is
+  // a statement about the machine, not about any single shard.
+  auto pipeline =
+      std::make_shared<RequestPipeline>(engine_options.pipeline_options());
 
   LocalBackendSet set;
   set.bounds = bounds;

@@ -1,13 +1,10 @@
 // ShardBackend: the transport seam of the sharded serving layer.
 //
-// PR 5's ShardRouter talks to its shards through direct SelectionEngine
-// calls — one process, one address space. The jump to a fleet keeps the
-// routing layer but swaps what a "shard" is: this interface is the
+// ShardRouter talks to every shard through this interface — the
 // contract a router needs from a shard and nothing more (answer one
-// request, answer a sub-batch, report health), so the same
-// RpcShardRouter code serves
-//   * LocalShardBackend — an in-process SelectionEngine (today's path,
-//     byte-for-byte), and
+// request, answer a sub-batch, report status) — so the same router code
+// serves
+//   * LocalShardBackend — an in-process SelectionEngine, and
 //   * RpcShardBackend (net/client.h) — a pool of connections to a
 //     shard_server process hosting that engine behind the wire
 //     protocol.
@@ -30,16 +27,31 @@
 
 namespace comparesets {
 
-/// Health/readiness of one shard, as a probe answers it. Local backends
-/// synthesize it from the engine; RPC backends decode it off the wire.
-struct ShardHealth {
-  bool ready = false;  ///< Engine built and serving.
-  uint64_t shard_id = 0;
-  std::string state;  ///< ShardStateName-style string ("serving").
+/// Serving state of one shard, surfaced per-range by the router.
+enum class ShardState {
+  kServing = 0,  ///< Normal operation.
+  kSwapping,     ///< Mid-publication; its range answers kUnavailable.
+  kDown,         ///< Marked down; its range answers kUnavailable.
+};
+
+/// Stable lowercase name ("serving", "swapping", "down").
+const char* ShardStateName(ShardState state);
+
+/// Inverse of ShardStateName; false (and *out untouched) on any other
+/// text.
+bool ParseShardState(const std::string& name, ShardState* out);
+
+/// Point-in-time status of one shard: what a backend's probe reports
+/// and what ShardRouter::ShardStatuses surfaces (with the router's own
+/// routing state folded in).
+struct ShardStatus {
+  bool ready = false;  ///< Engine built and answering probes.
+  size_t shard_id = 0;
+  ShardState state = ShardState::kServing;
   ShardKeyRange range;
   uint64_t corpus_epoch = 0;
-  uint64_t num_instances = 0;
-  uint64_t num_products = 0;
+  size_t num_instances = 0;
+  size_t num_products = 0;
 };
 
 /// One shard, behind some transport. Implementations are thread-safe:
@@ -55,17 +67,22 @@ class ShardBackend {
 
   /// Answers a whole sub-batch. Shipping the sub-batch as one unit (one
   /// frame, for RPC) preserves the engine's batch semantics — kernel
-  /// windowing, in-order memo hits — exactly as the local router does.
+  /// windowing, in-order memo hits — exactly as an in-process call.
   virtual std::vector<Result<SelectResponse>> SelectBatch(
       const std::vector<SelectRequest>& requests) = 0;
 
-  /// Health/readiness probe. Cheap; routers poll it at startup
+  /// Status/readiness probe. Cheap; routers poll it at startup
   /// (WaitReady) and ops surfaces print it.
-  virtual Result<ShardHealth> Probe() = 0;
+  virtual Result<ShardStatus> Probe() = 0;
 
   /// Transport description for logs/errors ("local:0",
   /// "rpc:unix:/run/shard0.sock").
   virtual std::string name() const = 0;
+
+  /// The engine behind this backend when it lives in this process;
+  /// nullptr for a remote shard. Snapshot publication and metrics
+  /// rollups need it.
+  virtual SelectionEngine* local_engine() { return nullptr; }
 };
 
 /// In-process backend: wraps one shard's SelectionEngine.
@@ -79,8 +96,9 @@ class LocalShardBackend : public ShardBackend {
   Result<SelectResponse> Select(const SelectRequest& request) override;
   std::vector<Result<SelectResponse>> SelectBatch(
       const std::vector<SelectRequest>& requests) override;
-  Result<ShardHealth> Probe() override;
+  Result<ShardStatus> Probe() override;
   std::string name() const override;
+  SelectionEngine* local_engine() override { return engine_.get(); }
 
   SelectionEngine& engine() { return *engine_; }
 
@@ -90,7 +108,7 @@ class LocalShardBackend : public ShardBackend {
 };
 
 /// A partitioned set of local backends plus the bounds that route to
-/// them — everything RpcShardRouter::Create needs for the in-process
+/// them — everything ShardRouter::Create needs for the in-process
 /// transport.
 struct LocalBackendSet {
   std::vector<std::string> bounds;
@@ -98,11 +116,12 @@ struct LocalBackendSet {
 };
 
 /// Partitions `corpus` into `num_shards` ranges and builds one
-/// LocalShardBackend per shard, mirroring ShardRouter::Create exactly:
-/// same partitioner, same ONE shared RequestPipeline across all shard
-/// engines (admission stays a machine-wide budget), same per-shard
-/// EngineOptions stamping. A router over these backends is therefore
-/// byte-identical to the PR 5 ShardRouter.
+/// LocalShardBackend per shard — the one partition-and-engine
+/// construction path (ShardRouter::Create(corpus, ...) is this plus the
+/// router). Every shard engine shares ONE RequestPipeline built from
+/// `engine_options` (admission stays a machine-wide budget) and gets its
+/// stable shard id. num_shards == 1 serves the input snapshot
+/// unpartitioned — byte-for-byte a single engine.
 Result<LocalBackendSet> CreateLocalBackends(
     std::shared_ptr<const IndexedCorpus> corpus, size_t num_shards,
     EngineOptions engine_options);

@@ -75,6 +75,16 @@ std::string ResultKey(const std::string& prepare_key,
 
 }  // namespace
 
+PipelineOptions EngineOptions::pipeline_options() const {
+  PipelineOptions options;
+  options.max_in_flight = max_in_flight;
+  options.max_queue = max_queue;
+  options.max_batch_queue = max_batch_queue;
+  options.max_attempts = max_attempts;
+  options.retry_backoff_seconds = retry_backoff_seconds;
+  return options;
+}
+
 SelectionEngine::SelectionEngine(std::shared_ptr<const IndexedCorpus> corpus,
                                  EngineOptions options)
     : options_(options),
@@ -82,15 +92,9 @@ SelectionEngine::SelectionEngine(std::shared_ptr<const IndexedCorpus> corpus,
       cache_(options.cache_capacity),
       pool_(options.threads) {
   if (options_.pipeline == nullptr) {
-    // Standalone engine: a private pipeline from the engine's own
-    // knobs, behaving exactly like the pre-extraction admission/retry.
-    PipelineOptions pipeline_options;
-    pipeline_options.max_in_flight = options_.max_in_flight;
-    pipeline_options.max_queue = options_.max_queue;
-    pipeline_options.max_batch_queue = options_.max_batch_queue;
-    pipeline_options.max_attempts = options_.max_attempts;
-    pipeline_options.retry_backoff_seconds = options_.retry_backoff_seconds;
-    options_.pipeline = std::make_shared<RequestPipeline>(pipeline_options);
+    // Standalone engine: a private pipeline from the engine's own knobs.
+    options_.pipeline =
+        std::make_shared<RequestPipeline>(options_.pipeline_options());
   }
   quality_floor_.store(static_cast<int>(options_.min_quality_tier),
                        std::memory_order_relaxed);
@@ -113,13 +117,13 @@ uint64_t SelectionEngine::corpus_epoch() const {
   return corpus_epoch_;
 }
 
-Status SelectionEngine::SwapCorpus(
-    std::shared_ptr<const IndexedCorpus> corpus) {
+Status SelectionEngine::Publish(std::shared_ptr<const IndexedCorpus> corpus,
+                                size_t reviews_added) {
   if (options_.fault_injector) {
     Status injected = options_.fault_injector->Inject(FaultSite::kCorpusSwap);
     if (!injected.ok()) {
-      // Swap refused before the snapshot flipped: the engine keeps
-      // serving the old catalog, caches intact.
+      // Refused before the snapshot flipped: the engine keeps serving
+      // the old snapshot, caches intact, and the caller may retry.
       metrics_.counter("engine.corpus_swap_failures").Increment();
       return injected;
     }
@@ -140,37 +144,11 @@ Status SelectionEngine::SwapCorpus(
     result_index_.clear();
   }
   metrics_.counter("engine.corpus_swaps").Increment();
-  return Status::OK();
-}
-
-Status SelectionEngine::ApplyCorpusDelta(
-    std::shared_ptr<const IndexedCorpus> corpus, size_t reviews_added) {
-  if (options_.fault_injector) {
-    Status injected = options_.fault_injector->Inject(FaultSite::kCorpusSwap);
-    if (!injected.ok()) {
-      // Refused before the snapshot flipped — same contract as a failed
-      // SwapCorpus: the engine keeps serving the old snapshot, caches
-      // intact, and the ingestion driver may retry the batch.
-      metrics_.counter("engine.corpus_swap_failures").Increment();
-      return injected;
-    }
+  if (reviews_added > 0) {
+    ingested_reviews_.fetch_add(reviews_added, std::memory_order_relaxed);
+    metrics_.counter("engine.delta_applies").Increment();
+    metrics_.counter("engine.ingest_reviews_applied").Increment(reviews_added);
   }
-  {
-    std::lock_guard<std::mutex> lock(corpus_mutex_);
-    corpus_ = std::move(corpus);
-    ++corpus_epoch_;
-  }
-  // Same invalidation discipline as SwapCorpus: the epoch moved, so no
-  // old-epoch entry can match a new key; reclaim the capacity now.
-  cache_.Clear();
-  {
-    std::lock_guard<std::mutex> lock(result_mutex_);
-    result_lru_.clear();
-    result_index_.clear();
-  }
-  ingested_reviews_.fetch_add(reviews_added, std::memory_order_relaxed);
-  metrics_.counter("engine.delta_applies").Increment();
-  metrics_.counter("engine.ingest_reviews_applied").Increment(reviews_added);
   return Status::OK();
 }
 
@@ -606,7 +584,7 @@ void SelectionEngine::PrefetchWindow(
   // vectors under the same key the request will look up, and the
   // selector's PrefetchSystems fills the instance's design-system cache
   // in one batched Gram kernel pass. Requests arriving after a
-  // mid-batch SwapCorpus read a newer epoch and simply miss cold —
+  // mid-batch Publish read a newer epoch and simply miss cold —
   // never a stale answer.
   std::unordered_set<std::string> warmed;
   for (size_t i = begin; i < end; ++i) {

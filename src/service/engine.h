@@ -29,7 +29,7 @@
 //     MetricsRegistry's ring, dumpable as JSONL (`serve --trace_out`).
 //
 // Thread-safety: Select/SelectBatch are safe to call concurrently; the
-// catalog can be replaced at runtime with SwapCorpus (in-flight
+// catalog can be replaced at runtime with Publish (in-flight
 // requests finish against the snapshot they started with).
 
 #pragma once
@@ -140,11 +140,16 @@ struct EngineOptions {
   /// inside the solve returns the incumbent via SelectTiered.
   QualityTier min_quality_tier = QualityTier::kExact;
   /// Admission/retry policy shared with other engines. nullptr = the
-  /// engine builds a private RequestPipeline from the four knobs above
-  /// (the standalone behaviour). A ShardRouter installs one pipeline
-  /// across all its shard engines so max_in_flight is a router-wide
-  /// budget, not per-shard.
+  /// engine builds a private RequestPipeline from pipeline_options()
+  /// (the standalone behaviour). CreateLocalBackends installs one
+  /// pipeline across all its shard engines so max_in_flight is a
+  /// fleet-wide budget, not per-shard.
   std::shared_ptr<RequestPipeline> pipeline;
+
+  /// The admission/retry knobs above (max_in_flight, max_queue,
+  /// max_batch_queue, max_attempts, retry_backoff_seconds) as the
+  /// PipelineOptions every engine-built pipeline is configured from.
+  PipelineOptions pipeline_options() const;
 };
 
 struct SelectRequest {
@@ -240,35 +245,30 @@ class SelectionEngine {
   std::vector<Result<SelectResponse>> SelectBatch(
       const std::vector<SelectRequest>& requests) const;
 
-  /// Replaces the catalog snapshot. The vector cache is invalidated;
-  /// in-flight requests keep the snapshot they resolved against.
-  /// Fails only under fault injection at the corpus-swap seam (the
-  /// snapshot is left untouched then).
-  Status SwapCorpus(std::shared_ptr<const IndexedCorpus> corpus);
-
-  /// Publishes an incrementally built snapshot from the streaming
-  /// ingestion path (service/ingest). Mechanically identical to
-  /// SwapCorpus — same epoch bump, same cache/memo invalidation, same
-  /// fault seam — but additionally accounts `reviews_added` streamed
-  /// reviews into this engine's cumulative ingest counter, which every
-  /// subsequent RequestTrace carries as `ingest_records`. Shard-local:
-  /// applying a delta here never moves another shard's epoch, so the
-  /// other shards keep their warm caches (the same isolation SwapCorpus
-  /// gives shard swaps).
-  Status ApplyCorpusDelta(std::shared_ptr<const IndexedCorpus> corpus,
-                          size_t reviews_added);
+  /// Publishes a new catalog snapshot — the one publication path, for
+  /// wholesale swaps (reviews_added = 0) and streamed deltas from
+  /// service/ingest alike. The epoch moves, the vector cache and the
+  /// memo are invalidated, and in-flight requests keep the snapshot
+  /// they resolved against. `reviews_added` streamed reviews are
+  /// accounted into ingested_reviews(), which every subsequent
+  /// RequestTrace carries as `ingest_records`. Shard-local: publishing
+  /// here never moves another shard's epoch, so the other shards keep
+  /// their warm caches. Fails only under fault injection at the
+  /// corpus-swap seam (the snapshot is left untouched then).
+  Status Publish(std::shared_ptr<const IndexedCorpus> corpus,
+                 size_t reviews_added);
 
   /// Current catalog snapshot.
   std::shared_ptr<const IndexedCorpus> corpus() const;
 
   /// Epoch of the current snapshot: 0 at construction, +1 per
-  /// SwapCorpus. Shard-local — one shard swapping never moves another
+  /// Publish. Shard-local — one shard swapping never moves another
   /// shard's epoch, which is what keeps the others' caches warm.
   uint64_t corpus_epoch() const;
 
   /// Cumulative streamed reviews delta-applied to this engine (sum of
-  /// every ApplyCorpusDelta's reviews_added). 0 on engines that never
-  /// ingest; monotonic, never reset by SwapCorpus.
+  /// every Publish's reviews_added). 0 on engines that never ingest;
+  /// monotonic, never reset by a publication.
   uint64_t ingested_reviews() const {
     return ingested_reviews_.load(std::memory_order_relaxed);
   }
@@ -393,10 +393,10 @@ class SelectionEngine {
   EngineOptions options_;
   mutable std::mutex corpus_mutex_;
   std::shared_ptr<const IndexedCorpus> corpus_;
-  /// Bumped by SwapCorpus; part of every cache key so an entry built
+  /// Bumped by Publish; part of every cache key so an entry built
   /// against an old snapshot can never serve a new one.
   uint64_t corpus_epoch_ = 0;
-  /// Cumulative streamed reviews applied via ApplyCorpusDelta.
+  /// Sum of every Publish's reviews_added.
   std::atomic<uint64_t> ingested_reviews_{0};
   mutable VectorCache cache_;
 

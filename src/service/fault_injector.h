@@ -29,7 +29,7 @@ namespace comparesets {
 enum class FaultSite {
   kCacheLookup = 0,  ///< VectorCache lookup inside Prepare.
   kSolve,            ///< Just before the selector runs.
-  kCorpusSwap,       ///< Inside SwapCorpus, before the snapshot flips.
+  kCorpusSwap,       ///< Inside Publish, before the snapshot flips.
   kRoute,            ///< ShardRouter, before resolving the target's shard.
   kGather,           ///< ShardRouter, before each shard's gather task runs.
   kConnect,          ///< RPC client, before (re)connecting to a replica.

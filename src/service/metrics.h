@@ -74,8 +74,8 @@ struct RequestTrace {
   /// Together with request_id this is unique across a ShardRouter.
   uint64_t shard_id = 0;
   /// Epoch of the corpus snapshot the request resolved against; bumped
-  /// by every (per-shard) SwapCorpus, so traces can be correlated with
-  /// catalog swaps in the JSONL stream.
+  /// by every (per-shard) Publish, so traces can be correlated with
+  /// catalog publications in the JSONL stream.
   uint64_t corpus_epoch = 0;
   /// Cumulative streamed reviews delta-applied to this shard's engine
   /// when the request resolved (service/ingest) — the freshness of the

@@ -1,85 +1,73 @@
 #include "service/router.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <iterator>
 #include <map>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "util/timer.h"
 
 namespace comparesets {
 
-const char* ShardStateName(ShardState state) {
-  switch (state) {
-    case ShardState::kServing:
-      return "serving";
-    case ShardState::kSwapping:
-      return "swapping";
-    case ShardState::kDown:
-      return "down";
-  }
-  return "unknown";
-}
-
-ShardRouter::ShardRouter(RouterOptions options, std::vector<std::string> bounds)
+ShardRouter::ShardRouter(RouterOptions options, std::vector<std::string> bounds,
+                         std::vector<std::unique_ptr<ShardBackend>> backends)
     : options_(std::move(options)),
       bounds_(std::move(bounds)),
-      pool_(options_.router_threads) {}
+      backends_(std::move(backends)),
+      states_(std::make_unique<std::atomic<int>[]>(backends_.size())),
+      requests_(metrics_.counter("router.requests")),
+      batches_(metrics_.counter("router.batches")),
+      routed_(metrics_.counter("router.routed")),
+      unavailable_(metrics_.counter("router.unavailable")),
+      pool_(options_.router_threads) {
+  for (size_t s = 0; s < backends_.size(); ++s) {
+    engines_.push_back(backends_[s]->local_engine());
+    states_[s].store(static_cast<int>(ShardState::kServing));
+    shard_requests_.push_back(
+        &metrics_.counter("router.shard_requests." + std::to_string(s)));
+  }
+}
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     std::shared_ptr<const IndexedCorpus> corpus, size_t num_shards,
     RouterOptions options) {
-  if (corpus == nullptr) {
-    return Status::InvalidArgument("ShardRouter requires a corpus");
-  }
   COMPARESETS_ASSIGN_OR_RETURN(
-      std::vector<std::string> bounds,
-      CorpusPartitioner::ComputeBounds(*corpus, num_shards));
+      LocalBackendSet local,
+      CreateLocalBackends(std::move(corpus), num_shards, options.engine));
+  return Create(std::move(local.bounds), std::move(local.backends),
+                std::move(options));
+}
 
-  std::vector<std::shared_ptr<const IndexedCorpus>> shards;
-  shards.reserve(num_shards);
-  if (num_shards == 1) {
-    // The unsharded snapshot IS the one-shard partition: serve it
-    // as-is so the single-shard router shares every byte with a plain
-    // engine.
-    shards.push_back(std::move(corpus));
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) {
-      COMPARESETS_ASSIGN_OR_RETURN(auto shard,
-                                   CorpusPartitioner::ExtractShard(
-                                       *corpus, bounds, s));
-      shards.push_back(std::move(shard));
+Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
+    std::vector<std::string> bounds,
+    std::vector<std::unique_ptr<ShardBackend>> backends,
+    RouterOptions options) {
+  if (backends.empty()) {
+    return Status::InvalidArgument("ShardRouter requires backends");
+  }
+  if (bounds.size() != backends.size()) {
+    return Status::InvalidArgument(
+        "ShardRouter needs one bound per backend: " +
+        std::to_string(bounds.size()) + " bounds, " +
+        std::to_string(backends.size()) + " backends");
+  }
+  if (bounds[0] != "") {
+    return Status::InvalidArgument("bounds[0] must be the empty string");
+  }
+  if (!std::is_sorted(bounds.begin(), bounds.end())) {
+    return Status::InvalidArgument("bounds must be sorted");
+  }
+  for (const auto& backend : backends) {
+    if (backend == nullptr) {
+      return Status::InvalidArgument("ShardRouter backend is null");
     }
   }
-
-  std::unique_ptr<ShardRouter> router(
-      new ShardRouter(std::move(options), std::move(bounds)));
-  // ONE admission pipeline across all shard engines: max_in_flight is
-  // a statement about the machine, not about any single shard.
-  PipelineOptions pipeline_options;
-  pipeline_options.max_in_flight = router->options_.engine.max_in_flight;
-  pipeline_options.max_queue = router->options_.engine.max_queue;
-  pipeline_options.max_batch_queue = router->options_.engine.max_batch_queue;
-  pipeline_options.max_attempts = router->options_.engine.max_attempts;
-  pipeline_options.retry_backoff_seconds =
-      router->options_.engine.retry_backoff_seconds;
-  router->pipeline_ = std::make_shared<RequestPipeline>(pipeline_options);
-
-  router->engines_.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    EngineOptions engine_options = router->options_.engine;
-    engine_options.shard_id = s;
-    engine_options.pipeline = router->pipeline_;
-    router->engines_.push_back(std::make_unique<SelectionEngine>(
-        std::move(shards[s]), std::move(engine_options)));
-  }
-  router->states_ = std::make_unique<std::atomic<int>[]>(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    router->states_[s].store(static_cast<int>(ShardState::kServing));
-  }
-  return router;
+  return std::unique_ptr<ShardRouter>(new ShardRouter(
+      std::move(options), std::move(bounds), std::move(backends)));
 }
 
 size_t ShardRouter::ShardForTarget(const std::string& target_id) const {
@@ -98,17 +86,16 @@ ShardKeyRange ShardRouter::RangeOf(size_t shard_id) const {
 }
 
 Status ShardRouter::CheckRoutable(size_t shard) const {
-  auto state = static_cast<ShardState>(
-      states_[shard].load(std::memory_order_acquire));
+  ShardState state = StateOf(shard);
   if (state == ShardState::kServing) return Status::OK();
-  metrics_.counter("router.unavailable").Increment();
+  unavailable_.Increment();
   return Status::Unavailable("shard " + std::to_string(shard) + " " +
                              RangeOf(shard).ToString() + " is " +
                              ShardStateName(state));
 }
 
 Result<SelectResponse> ShardRouter::Select(const SelectRequest& request) const {
-  metrics_.counter("router.requests").Increment();
+  requests_.Increment();
   if (options_.fault_injector) {
     Status injected = options_.fault_injector->Inject(FaultSite::kRoute);
     if (!injected.ok()) {
@@ -118,22 +105,21 @@ Result<SelectResponse> ShardRouter::Select(const SelectRequest& request) const {
   }
   size_t shard = ShardForTarget(request.target_id);
   COMPARESETS_RETURN_NOT_OK(CheckRoutable(shard));
-  metrics_.counter("router.routed").Increment();
-  metrics_.counter("router.shard_requests." + std::to_string(shard))
-      .Increment();
-  return engines_[shard]->Select(request);
+  routed_.Increment();
+  shard_requests_[shard]->Increment();
+  return backends_[shard]->Select(request);
 }
 
 std::vector<Result<SelectResponse>> ShardRouter::SelectBatch(
     const std::vector<SelectRequest>& requests) const {
-  metrics_.counter("router.batches").Increment();
-  metrics_.counter("router.requests").Increment(requests.size());
+  batches_.Increment();
+  requests_.Increment(requests.size());
   std::vector<std::optional<Result<SelectResponse>>> slots(requests.size());
 
   // Scatter: route every request up front. Router-level refusals (route
   // faults, unavailable shards) land in their slots without touching
-  // any engine; the rest are grouped per shard, original order kept.
-  std::vector<std::vector<size_t>> by_shard(engines_.size());
+  // any backend; the rest are grouped per shard, original order kept.
+  std::vector<std::vector<size_t>> by_shard(backends_.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     if (options_.fault_injector) {
       Status injected = options_.fault_injector->Inject(FaultSite::kRoute);
@@ -149,9 +135,8 @@ std::vector<Result<SelectResponse>> ShardRouter::SelectBatch(
       slots[i] = routable;
       continue;
     }
-    metrics_.counter("router.routed").Increment();
-    metrics_.counter("router.shard_requests." + std::to_string(shard))
-        .Increment();
+    routed_.Increment();
+    shard_requests_[shard]->Increment();
     by_shard[shard].push_back(i);
   }
 
@@ -191,7 +176,7 @@ std::vector<Result<SelectResponse>> ShardRouter::SelectBatch(
     }
     if (sub.empty()) return;
     std::vector<Result<SelectResponse>> sub_responses =
-        engines_[shard]->SelectBatch(sub);
+        backends_[shard]->SelectBatch(sub);
     for (size_t j = 0; j < sub_index.size(); ++j) {
       slots[sub_index[j]] = std::move(sub_responses[j]);
     }
@@ -219,81 +204,81 @@ std::vector<Result<SelectResponse>> ShardRouter::SelectBatch(
   return responses;
 }
 
-Status ShardRouter::SwapShardCorpus(
-    size_t shard_id, std::shared_ptr<const IndexedCorpus> full_corpus) {
-  if (shard_id >= engines_.size()) {
+Status ShardRouter::CheckPublishable(size_t shard_id) const {
+  if (shard_id >= backends_.size()) {
     return Status::InvalidArgument("no shard " + std::to_string(shard_id));
   }
+  if (engines_[shard_id] == nullptr) {
+    return Status::NotImplemented(
+        "shard " + std::to_string(shard_id) + " (" +
+        backends_[shard_id]->name() +
+        ") is remote: publishing a snapshot needs snapshot shipping");
+  }
+  return Status::OK();
+}
+
+Status ShardRouter::SwapShardCorpus(
+    size_t shard_id, std::shared_ptr<const IndexedCorpus> full_corpus) {
+  COMPARESETS_RETURN_NOT_OK(CheckPublishable(shard_id));
   if (full_corpus == nullptr) {
     return Status::InvalidArgument("SwapShardCorpus requires a corpus");
   }
-  std::lock_guard<std::mutex> lock(admin_mutex_);
-  // The shard goes kSwapping for the duration: its range answers
-  // kUnavailable instead of mixing snapshots mid-extraction. On any
-  // failure the previous state (and the engine's previous snapshot)
-  // are kept.
-  int previous =
-      states_[shard_id].exchange(static_cast<int>(ShardState::kSwapping),
-                                 std::memory_order_acq_rel);
-
-  Result<std::shared_ptr<const IndexedCorpus>> shard_corpus =
-      engines_.size() == 1
-          ? Result<std::shared_ptr<const IndexedCorpus>>(
-                std::move(full_corpus))
-          : CorpusPartitioner::ExtractShard(*full_corpus, bounds_, shard_id);
-  Status status = shard_corpus.ok()
-                      ? engines_[shard_id]->SwapCorpus(
-                            std::move(shard_corpus).value())
-                      : shard_corpus.status();
-  if (!status.ok()) {
-    states_[shard_id].store(previous, std::memory_order_release);
-    metrics_.counter("router.shard_swap_failures").Increment();
-    return status;
+  if (backends_.size() > 1) {
+    Result<std::shared_ptr<const IndexedCorpus>> shard_corpus =
+        CorpusPartitioner::ExtractShard(*full_corpus, bounds_, shard_id);
+    if (!shard_corpus.ok()) {
+      metrics_.counter("router.shard_swap_failures").Increment();
+      return shard_corpus.status();
+    }
+    full_corpus = std::move(shard_corpus).value();
   }
-  // A successful swap always leaves the shard serving — swapping a
-  // fresh catalog into a kDown shard is how it is revived.
-  states_[shard_id].store(static_cast<int>(ShardState::kServing),
-                          std::memory_order_release);
-  metrics_.counter("router.shard_swaps").Increment();
-  return Status::OK();
+  return PublishToShard(shard_id, std::move(full_corpus), 0,
+                        "router.shard_swaps", "router.shard_swap_failures");
 }
 
 Status ShardRouter::ApplyShardDelta(
     size_t shard_id, std::shared_ptr<const IndexedCorpus> snapshot,
     size_t reviews_added) {
-  if (shard_id >= engines_.size()) {
-    return Status::InvalidArgument("no shard " + std::to_string(shard_id));
-  }
+  COMPARESETS_RETURN_NOT_OK(CheckPublishable(shard_id));
   if (snapshot == nullptr) {
     return Status::InvalidArgument("ApplyShardDelta requires a snapshot");
   }
+  return PublishToShard(shard_id, std::move(snapshot), reviews_added,
+                        "router.shard_deltas", "router.shard_delta_failures");
+}
+
+Status ShardRouter::PublishToShard(
+    size_t shard_id, std::shared_ptr<const IndexedCorpus> snapshot,
+    size_t reviews_added, const char* published, const char* failed) {
   std::lock_guard<std::mutex> lock(admin_mutex_);
-  // Same state machine as SwapShardCorpus: the shard answers
-  // kUnavailable for the (brief) publication window, and a failed apply
-  // keeps the previous state and snapshot.
+  // The shard goes kSwapping for the publication: its range answers
+  // kUnavailable instead of mixing snapshots. On failure the previous
+  // state (and the engine's previous snapshot) are kept.
   int previous =
       states_[shard_id].exchange(static_cast<int>(ShardState::kSwapping),
                                  std::memory_order_acq_rel);
   Status status =
-      engines_[shard_id]->ApplyCorpusDelta(std::move(snapshot), reviews_added);
+      engines_[shard_id]->Publish(std::move(snapshot), reviews_added);
   if (!status.ok()) {
     states_[shard_id].store(previous, std::memory_order_release);
-    metrics_.counter("router.shard_delta_failures").Increment();
+    metrics_.counter(failed).Increment();
     return status;
   }
+  // A successful publication always leaves the shard serving —
+  // publishing a fresh snapshot into a kDown shard is how it is revived.
   states_[shard_id].store(static_cast<int>(ShardState::kServing),
                           std::memory_order_release);
-  metrics_.counter("router.shard_deltas").Increment();
+  metrics_.counter(published).Increment();
   return Status::OK();
 }
 
 Status ShardRouter::SetShardState(size_t shard_id, ShardState state) {
-  if (shard_id >= engines_.size()) {
+  if (shard_id >= backends_.size()) {
     return Status::InvalidArgument("no shard " + std::to_string(shard_id));
   }
   if (state == ShardState::kSwapping) {
     return Status::InvalidArgument(
-        "kSwapping is owned by SwapShardCorpus; set kServing or kDown");
+        "kSwapping is owned by snapshot publication; set kServing or kDown");
   }
   std::lock_guard<std::mutex> lock(admin_mutex_);
   states_[shard_id].store(static_cast<int>(state), std::memory_order_release);
@@ -303,20 +288,45 @@ Status ShardRouter::SetShardState(size_t shard_id, ShardState state) {
 
 std::vector<ShardStatus> ShardRouter::ShardStatuses() const {
   std::vector<ShardStatus> statuses;
-  statuses.reserve(engines_.size());
-  for (size_t s = 0; s < engines_.size(); ++s) {
+  statuses.reserve(backends_.size());
+  for (size_t s = 0; s < backends_.size(); ++s) {
+    Result<ShardStatus> probed = backends_[s]->Probe();
     ShardStatus status;
-    status.shard_id = s;
-    status.state = static_cast<ShardState>(
-        states_[s].load(std::memory_order_acquire));
-    status.range = RangeOf(s);
-    status.corpus_epoch = engines_[s]->corpus_epoch();
-    std::shared_ptr<const IndexedCorpus> snapshot = engines_[s]->corpus();
-    status.num_instances = snapshot->num_instances();
-    status.num_products = snapshot->corpus().num_products();
+    if (probed.ok()) {
+      status = std::move(probed).value();
+    } else {
+      status.shard_id = s;
+      status.range = RangeOf(s);
+    }
+    // Routing state is the router's: a shard it holds down or
+    // mid-publication refuses its range whatever the backend reports.
+    ShardState routed = StateOf(s);
+    if (routed != ShardState::kServing) status.state = routed;
     statuses.push_back(std::move(status));
   }
   return statuses;
+}
+
+Status ShardRouter::WaitReady(double timeout_seconds) const {
+  Timer timer;
+  for (size_t s = 0; s < backends_.size(); ++s) {
+    for (;;) {
+      Result<ShardStatus> health = backends_[s]->Probe();
+      if (health.ok() && health.value().ready) break;
+      if (timer.ElapsedSeconds() >= timeout_seconds) {
+        Status last =
+            health.ok()
+                ? Status::Unavailable(std::string("shard not ready, state=") +
+                                      ShardStateName(health.value().state))
+                : health.status();
+        return Status::Timeout("shard " + std::to_string(s) + " (" +
+                               backends_[s]->name() + ") not ready: " +
+                               last.ToString());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  return Status::OK();
 }
 
 namespace {
@@ -383,10 +393,9 @@ std::string DumpSnapshot(const MetricsSnapshot& snapshot) {
 }  // namespace
 
 std::string ShardRouter::DumpMetrics() const {
-  std::vector<MetricsSnapshot> shards;
-  shards.reserve(engines_.size());
-  for (const auto& engine : engines_) {
-    shards.push_back(engine->SnapshotMetrics());
+  std::vector<MetricsSnapshot> shards(engines_.size());
+  for (size_t s = 0; s < engines_.size(); ++s) {
+    if (engines_[s] != nullptr) shards[s] = engines_[s]->SnapshotMetrics();
   }
   // Router counters first, then the cross-shard rollup in the same
   // format a single engine dumps — so consumers of the unsharded dump
@@ -395,12 +404,11 @@ std::string ShardRouter::DumpMetrics() const {
   out += DumpSnapshot(RollupSnapshots(shards));
   if (engines_.size() > 1) {
     for (size_t s = 0; s < engines_.size(); ++s) {
+      if (engines_[s] == nullptr) continue;
       char header[128];
       std::snprintf(header, sizeof(header),
                     "--- shard %zu %s state=%s epoch=%llu ---\n", s,
-                    RangeOf(s).ToString().c_str(),
-                    ShardStateName(static_cast<ShardState>(
-                        states_[s].load(std::memory_order_acquire))),
+                    RangeOf(s).ToString().c_str(), ShardStateName(StateOf(s)),
                     static_cast<unsigned long long>(
                         engines_[s]->corpus_epoch()));
       out += header;
@@ -415,6 +423,7 @@ std::string ShardRouter::RenderPrometheus() const {
   labeled.reserve(engines_.size() + 1);
   labeled.emplace_back(std::string(), metrics_.Snapshot());
   for (size_t s = 0; s < engines_.size(); ++s) {
+    if (engines_[s] == nullptr) continue;
     labeled.emplace_back("shard=\"" + std::to_string(s) + "\"",
                          engines_[s]->SnapshotMetrics());
   }
@@ -423,13 +432,16 @@ std::string ShardRouter::RenderPrometheus() const {
 
 std::string ShardRouter::DumpTraces() const {
   std::string out;
-  for (const auto& engine : engines_) out += engine->DumpTraces();
+  for (const SelectionEngine* engine : engines_) {
+    if (engine != nullptr) out += engine->DumpTraces();
+  }
   return out;
 }
 
 std::vector<RequestTrace> ShardRouter::Traces() const {
   std::vector<RequestTrace> traces;
-  for (const auto& engine : engines_) {
+  for (const SelectionEngine* engine : engines_) {
+    if (engine == nullptr) continue;
     std::vector<RequestTrace> shard_traces = engine->Traces();
     traces.insert(traces.end(),
                   std::make_move_iterator(shard_traces.begin()),

@@ -1,89 +1,14 @@
-// RpcShardRouter: ShardRouter's scatter/gather, re-hosted on the
-// ShardBackend seam.
-//
-// PR 5's ShardRouter is welded to in-process SelectionEngines. This
-// router keeps its routing/gather semantics VERBATIM — same
-// upper_bound range routing, same per-request kRoute / per-shard
-// kGather fault seams, same "charge the whole gather against each
-// request's deadline" rule with the same expiry message — but talks to
-// shards through ShardBackend, so the same code serves
-//   * local backends (CreateLocalBackends): one process, byte-identical
-//     to ShardRouter and to a single engine, and
-//   * RPC backends (net/client.h): one shard_server process per shard.
-// The transport oracle holds all three pairwise byte-identical.
-//
-// Deliberately NOT carried over from ShardRouter: per-shard admin
-// (SwapShardCorpus / SetShardState — a remote shard's lifecycle belongs
-// to its own process) and metrics rollup (a remote engine's registry
-// is not addressable here; Probe carries the ops surface instead).
+// Forwarding header: the RPC router is ShardRouter over RpcShardBackends
+// (service/router.h, net/client.h). The alias remains only because the
+// benchmark harness (perfbench/src/rpc.cc) still names RpcShardRouter;
+// new code names ShardRouter.
 
 #pragma once
 
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "service/backend.h"
-#include "service/fault_injector.h"
-#include "util/thread_pool.h"
+#include "service/router.h"
 
 namespace comparesets {
 
-struct RpcRouterOptions {
-  /// Lanes for the scatter/gather fan-out over shards (0 = hardware
-  /// concurrency). With <= 1, sub-batches run serially in shard order.
-  size_t router_threads = 0;
-  /// Router-seam fault injection (kRoute / kGather); nullptr = none.
-  std::shared_ptr<FaultInjector> fault_injector;
-};
-
-class RpcShardRouter {
- public:
-  /// `bounds` are the partition lower bounds (bounds[0] == "", sorted,
-  /// one per backend); `backends` the shards in range order.
-  static Result<std::unique_ptr<RpcShardRouter>> Create(
-      std::vector<std::string> bounds,
-      std::vector<std::unique_ptr<ShardBackend>> backends,
-      RpcRouterOptions options = {});
-
-  size_t num_shards() const { return backends_.size(); }
-
-  /// The shard whose range contains `target_id` (total, like
-  /// ShardRouter::ShardForTarget).
-  size_t ShardForTarget(const std::string& target_id) const;
-
-  Result<SelectResponse> Select(const SelectRequest& request) const;
-
-  /// Scatter/gather with ShardRouter::SelectBatch's exact semantics:
-  /// requests grouped per shard in original order, one backend
-  /// SelectBatch per shard (ONE frame over RPC), expired requests
-  /// dropped pre-dispatch with the router's canonical message,
-  /// responses reassembled in request order.
-  std::vector<Result<SelectResponse>> SelectBatch(
-      const std::vector<SelectRequest>& requests) const;
-
-  /// Probes every backend once, in shard order.
-  std::vector<Result<ShardHealth>> ProbeAll() const;
-
-  /// Blocks until every backend reports ready or `timeout_seconds`
-  /// elapses (kTimeout naming the laggard shard).
-  Status WaitReady(double timeout_seconds) const;
-
-  const std::vector<std::string>& bounds() const { return bounds_; }
-
-  ShardBackend& backend(size_t shard_id) const {
-    return *backends_[shard_id];
-  }
-
- private:
-  RpcShardRouter(std::vector<std::string> bounds,
-                 std::vector<std::unique_ptr<ShardBackend>> backends,
-                 RpcRouterOptions options);
-
-  RpcRouterOptions options_;
-  std::vector<std::string> bounds_;
-  std::vector<std::unique_ptr<ShardBackend>> backends_;
-  mutable ThreadPool pool_;
-};
+using RpcShardRouter = ShardRouter;
 
 }  // namespace comparesets

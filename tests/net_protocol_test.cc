@@ -339,10 +339,10 @@ TEST(MessageCodecTest, BatchRoundTripPreservesOrder) {
 }
 
 TEST(MessageCodecTest, ShardHealthRoundTrip) {
-  ShardHealth health;
+  ShardStatus health;
   health.ready = true;
   health.shard_id = 2;
-  health.state = "serving";
+  health.state = ShardState::kServing;
   health.range.begin = "cellphone-P00030";
   health.range.end = "cellphone-P00045";
   health.corpus_epoch = 4;
@@ -352,12 +352,23 @@ TEST(MessageCodecTest, ShardHealthRoundTrip) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(decoded.value().ready);
   EXPECT_EQ(decoded.value().shard_id, 2u);
-  EXPECT_EQ(decoded.value().state, "serving");
+  EXPECT_EQ(decoded.value().state, ShardState::kServing);
   EXPECT_EQ(decoded.value().range.begin, "cellphone-P00030");
   EXPECT_EQ(decoded.value().range.end, "cellphone-P00045");
   EXPECT_EQ(decoded.value().corpus_epoch, 4u);
   EXPECT_EQ(decoded.value().num_instances, 15u);
   EXPECT_EQ(decoded.value().num_products, 60u);
+}
+
+TEST(MessageCodecTest, ShardHealthWithAnUnknownStateIsAParseError) {
+  std::string payload = EncodeShardHealth(ShardStatus{});
+  // Swap the "serving" state string for an equal-length unknown one.
+  size_t at = payload.find("serving");
+  ASSERT_NE(at, std::string::npos);
+  payload.replace(at, 7, "resting");
+  auto decoded = DecodeShardHealth(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
 }
 
 // --- Mutated-frame corpus over the decoders --------------------------------

@@ -1,5 +1,5 @@
 // The transport oracle: the RPC serving path must be a bitwise no-op.
-// For N ∈ {1, 2, 4} shards, an RpcShardRouter talking to real
+// For N ∈ {1, 2, 4} shards, a ShardRouter over RPC backends talking to real
 // ShardServer processes-worth of state over Unix sockets must answer
 // byte-identically — full payload, cache flags, and Status (code AND
 // message) — to the in-process ShardRouter AND to one SelectionEngine
@@ -25,7 +25,6 @@
 #include "net/server.h"
 #include "service/backend.h"
 #include "service/router.h"
-#include "service/rpc_router.h"
 
 namespace comparesets {
 namespace {
@@ -116,11 +115,11 @@ std::vector<SelectRequest> MixedStream(const IndexedCorpus& corpus) {
   return requests;
 }
 
-/// A fleet of shard servers over Unix sockets plus an RpcShardRouter
+/// A fleet of shard servers over Unix sockets plus a ShardRouter
 /// fronting them — the whole RPC stack, minus fork/exec.
 struct RpcFixture {
   std::vector<std::unique_ptr<ShardServer>> servers;
-  std::unique_ptr<RpcShardRouter> router;
+  std::unique_ptr<ShardRouter> router;
   /// Borrowed pointers into router's backends, for stats.
   std::vector<RpcShardBackend*> rpc_backends;
 
@@ -133,7 +132,7 @@ struct RpcFixture {
 };
 
 /// Builds one server per shard (range slices of `corpus`), then an
-/// RpcShardRouter of RpcShardBackends pointing at them.
+/// ShardRouter of RpcShardBackends pointing at them.
 std::unique_ptr<RpcFixture> StartFleet(
     std::shared_ptr<const IndexedCorpus> corpus, size_t num_shards,
     const EngineOptions& engine_options, const std::string& socket_tag,
@@ -165,10 +164,10 @@ std::unique_ptr<RpcFixture> StartFleet(
     fixture->servers.push_back(std::move(server).value());
   }
 
-  RpcRouterOptions router_options;
+  RouterOptions router_options;
   router_options.router_threads = 1;
   router_options.fault_injector = std::move(router_faults);
-  auto router = RpcShardRouter::Create(
+  auto router = ShardRouter::Create(
       std::move(local).value().bounds, std::move(rpc_backends), router_options);
   router.status().CheckOK();
   fixture->router = std::move(router).value();
@@ -196,7 +195,10 @@ TEST_P(TransportOracleTest, RpcMatchesLocalRouterAndSingleEngine) {
   ASSERT_EQ(fleet->router->num_shards(), num_shards);
 
   // Health first: every shard must expose its slice accurately.
-  std::vector<Result<ShardHealth>> health = fleet->router->ProbeAll();
+  std::vector<Result<ShardStatus>> health;
+  for (size_t shard = 0; shard < num_shards; ++shard) {
+    health.push_back(fleet->router->backend(shard).Probe());
+  }
   size_t instances_total = 0;
   for (size_t shard = 0; shard < num_shards; ++shard) {
     ASSERT_TRUE(health[shard].ok()) << health[shard].status();
@@ -340,6 +342,95 @@ TEST_P(TransportOracleTest, MidGatherDeadlineExpiryIsCanonicalOnBothPaths) {
   // The scenario is only meaningful if the canonical expiry actually
   // fired; with a 50 ms sleep against a 5 ms budget it always does.
   EXPECT_GT(expired, 0u);
+}
+
+// Shard state is the router's, not the transport's: on a router over
+// RPC backends, marking shard s down refuses exactly s's range with the
+// same Status bytes the in-process router produces, every other range
+// stays byte-identical, and the router.* counters tally the same. A
+// snapshot cannot be published into a remote shard — that is a typed
+// refusal, never a crash.
+TEST_P(TransportOracleTest, DownShardRefusesOnlyItsRangeOnBothPaths) {
+  const size_t num_shards = GetParam();
+  auto corpus = MakeCorpus(60);
+  EngineOptions engine_options;
+  engine_options.threads = 1;
+  RouterOptions local_options;
+  local_options.engine = engine_options;
+  local_options.router_threads = 1;
+  auto local_router = ShardRouter::Create(corpus, num_shards, local_options);
+  ASSERT_TRUE(local_router.ok()) << local_router.status();
+  ShardRouter& local = *local_router.value();
+  auto fleet = StartFleet(corpus, num_shards, engine_options,
+                          "down" + std::to_string(num_shards));
+  ShardRouter& rpc = *fleet->router;
+
+  // Two targets per shard, so every range is exercised.
+  std::vector<SelectRequest> requests;
+  std::vector<size_t> per_shard(num_shards, 0);
+  for (const ProblemInstance& instance : corpus->instances()) {
+    size_t shard = local.ShardForTarget(instance.target().id);
+    if (per_shard[shard] == 2) continue;
+    ++per_shard[shard];
+    SelectRequest request;
+    request.target_id = instance.target().id;
+    requests.push_back(request);
+  }
+  ASSERT_EQ(requests.size(), 2 * num_shards);
+
+  size_t refused = 0;
+  for (size_t down = 0; down < num_shards; ++down) {
+    ASSERT_TRUE(local.SetShardState(down, ShardState::kDown).ok());
+    ASSERT_TRUE(rpc.SetShardState(down, ShardState::kDown).ok());
+    std::string round = "down=" + std::to_string(down);
+
+    std::vector<Result<SelectResponse>> want_batch = local.SelectBatch(requests);
+    std::vector<Result<SelectResponse>> got_batch = rpc.SelectBatch(requests);
+    ASSERT_EQ(got_batch.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      bool in_down_range = local.ShardForTarget(requests[i].target_id) == down;
+      Result<SelectResponse> want = local.Select(requests[i]);
+      Result<SelectResponse> got = rpc.Select(requests[i]);
+      ExpectSameResponse(got, want, round + " Select[" + std::to_string(i) +
+                                        "]");
+      ExpectSameResponse(got_batch[i], want_batch[i],
+                         round + " batch[" + std::to_string(i) + "]");
+      if (in_down_range) {
+        refused += 2;
+        EXPECT_EQ(got.status().code(), StatusCode::kUnavailable) << round;
+        EXPECT_EQ(got_batch[i].status().code(), StatusCode::kUnavailable)
+            << round;
+      } else {
+        EXPECT_TRUE(got.ok()) << round << ": " << got.status();
+        EXPECT_TRUE(got_batch[i].ok()) << round << ": " << got_batch[i].status();
+      }
+    }
+    std::vector<ShardStatus> statuses = rpc.ShardStatuses();
+    ASSERT_EQ(statuses.size(), num_shards);
+    for (size_t s = 0; s < num_shards; ++s) {
+      EXPECT_TRUE(statuses[s].ready) << round;
+      EXPECT_EQ(statuses[s].state,
+                s == down ? ShardState::kDown : ShardState::kServing)
+          << round << " shard " << s;
+    }
+    ASSERT_TRUE(local.SetShardState(down, ShardState::kServing).ok());
+    ASSERT_TRUE(rpc.SetShardState(down, ShardState::kServing).ok());
+  }
+  std::string unavailable =
+      "counter router.unavailable " + std::to_string(refused) + "\n";
+  EXPECT_NE(local.DumpMetrics().find(unavailable), std::string::npos);
+  EXPECT_NE(rpc.DumpMetrics().find(unavailable), std::string::npos)
+      << rpc.DumpMetrics();
+
+  for (size_t s = 0; s < num_shards; ++s) {
+    EXPECT_EQ(rpc.ApplyShardDelta(s, corpus, 1).code(),
+              StatusCode::kNotImplemented);
+    EXPECT_EQ(rpc.SwapShardCorpus(s, corpus).code(),
+              StatusCode::kNotImplemented);
+    EXPECT_EQ(rpc.ShardStatuses()[s].state, ShardState::kServing);
+  }
+  ExpectSameResponse(rpc.Select(requests[0]), local.Select(requests[0]),
+                     "after refused publication");
 }
 
 TEST(TransportHedgingTest, HedgedSelectsMatchAndLeaveNoResidue) {

@@ -206,7 +206,7 @@ TEST(SelectionEngineTest, SwapCorpusInvalidatesCacheAndServesNewCatalog) {
   // reviews — a stale vector entry would silently answer from the old
   // catalog.
   auto new_corpus = MakeCorpus(60, /*seed=*/7);
-  ASSERT_TRUE(engine.SwapCorpus(new_corpus).ok());
+  ASSERT_TRUE(engine.Publish(new_corpus, 0).ok());
   EXPECT_EQ(engine.corpus(), new_corpus);
   EXPECT_EQ(engine.CacheStats().entries, 0u);
 
@@ -575,14 +575,14 @@ TEST(SelectionEngineTest, FaultInjectedSwapKeepsServingOldSnapshot) {
   ASSERT_TRUE(engine.Select(RequestFor(*old_corpus, 0)).ok());
 
   auto new_corpus = MakeCorpus(60, /*seed=*/7);
-  Status swap = engine.SwapCorpus(new_corpus);
+  Status swap = engine.Publish(new_corpus, 0);
   ASSERT_FALSE(swap.ok());
   EXPECT_EQ(swap.code(), StatusCode::kInternal);
   // Refused swap: old snapshot still serving, caches untouched.
   EXPECT_EQ(engine.corpus(), old_corpus);
   EXPECT_EQ(engine.CacheStats().entries, 1u);
 
-  ASSERT_TRUE(engine.SwapCorpus(new_corpus).ok());  // fail_first spent.
+  ASSERT_TRUE(engine.Publish(new_corpus, 0).ok());  // fail_first spent.
   EXPECT_EQ(engine.corpus(), new_corpus);
 }
 
@@ -618,7 +618,7 @@ TEST(SelectionEngineTest, TracesRecordTheRequestLifecycle) {
   EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 3);
 }
 
-// corpus_epoch in traces tracks SwapCorpus, so a trace stream can be
+// corpus_epoch in traces tracks Publish, so a trace stream can be
 // correlated with catalog swaps; shard_id comes from EngineOptions.
 TEST(SelectionEngineTest, TracesCarryEpochAcrossSwapsAndConfiguredShardId) {
   auto corpus = MakeCorpus(60);
@@ -629,7 +629,7 @@ TEST(SelectionEngineTest, TracesCarryEpochAcrossSwapsAndConfiguredShardId) {
 
   EXPECT_EQ(engine.corpus_epoch(), 0u);
   ASSERT_TRUE(engine.Select(request).ok());
-  ASSERT_TRUE(engine.SwapCorpus(MakeCorpus(60, /*seed=*/7)).ok());
+  ASSERT_TRUE(engine.Publish(MakeCorpus(60, /*seed=*/7), 0).ok());
   EXPECT_EQ(engine.corpus_epoch(), 1u);
   ASSERT_TRUE(engine.Select(request).ok());
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "data/synthetic.h"
+#include "service/backend.h"
 
 namespace comparesets {
 namespace {
@@ -267,6 +268,128 @@ TEST(ShardRouterTest, FailedSwapKeepsTheOldSnapshotAndState) {
   // The scripted fault is spent; the retry swap lands.
   ASSERT_TRUE(router->SwapShardCorpus(0, full).ok());
   EXPECT_EQ(router->ShardStatuses()[0].corpus_epoch, 1u);
+}
+
+// SwapShardCorpus and ApplyShardDelta share one publication routine
+// and so one kSwapping state machine: a failed publication restores
+// whatever state the shard had (kDown here, not just kServing), a
+// successful one revives it, and the untouched shard's memo stays warm
+// throughout.
+TEST(ShardRouterTest, PublicationRestoresPriorStateAndRevivesOnSuccess) {
+  FaultPlan plan;
+  plan.corpus_swap.fail_first = 2;
+  RouterOptions options;
+  options.engine.fault_injector = std::make_shared<FaultInjector>(plan);
+  auto full = MakeCorpus(60);
+  auto router = MakeRouter(full, 2, std::move(options));
+  auto targets = TargetPerShard(*full, *router);
+  ASSERT_TRUE(router->Select(RequestFor(targets[1])).ok());
+
+  router->SetShardState(0, ShardState::kDown).CheckOK();
+  std::shared_ptr<const IndexedCorpus> slice = router->shard_engine(0).corpus();
+  EXPECT_EQ(router->ApplyShardDelta(0, slice, 3).code(), StatusCode::kInternal);
+  EXPECT_EQ(router->SwapShardCorpus(0, full).code(), StatusCode::kInternal);
+  auto statuses = router->ShardStatuses();
+  EXPECT_EQ(statuses[0].state, ShardState::kDown);
+  EXPECT_EQ(statuses[0].corpus_epoch, 0u);
+  EXPECT_EQ(router->shard_engine(0).ingested_reviews(), 0u);
+
+  // The scripted faults are spent: the delta lands and revives shard 0.
+  ASSERT_TRUE(router->ApplyShardDelta(0, slice, 3).ok());
+  ASSERT_TRUE(router->SwapShardCorpus(0, full).ok());
+  statuses = router->ShardStatuses();
+  EXPECT_EQ(statuses[0].state, ShardState::kServing);
+  EXPECT_EQ(statuses[0].corpus_epoch, 2u);
+  EXPECT_EQ(statuses[1].corpus_epoch, 0u);
+  EXPECT_EQ(router->shard_engine(0).ingested_reviews(), 3u);
+  EXPECT_TRUE(router->Select(RequestFor(targets[0])).ok());
+  auto warm = router->Select(RequestFor(targets[1]));
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_TRUE(warm.value().result_cache_hit);
+
+  // engine.corpus_swaps counts every publication; delta_applies only
+  // those that carried streamed reviews.
+  std::string dump = router->DumpMetrics();
+  for (const char* line :
+       {"counter router.shard_delta_failures 1\n",
+        "counter router.shard_swap_failures 1\n",
+        "counter router.shard_deltas 1\n", "counter router.shard_swaps 1\n",
+        "counter engine.corpus_swap_failures 2\n",
+        "counter engine.corpus_swaps 2\n", "counter engine.delta_applies 1\n",
+        "counter engine.ingest_reviews_applied 3\n"}) {
+    EXPECT_NE(dump.find(line), std::string::npos) << line << dump;
+  }
+}
+
+// CreateLocalBackends is the one place shard engines are built, so every
+// admission knob must reach the shared pipeline — the batch budget
+// included, or a fleet silently sheds batch work at max_queue.
+TEST(ShardRouterTest, LocalFleetCarriesTheConfiguredBatchBudget) {
+  EngineOptions engine_options;
+  engine_options.threads = 1;
+  engine_options.max_queue = 64;
+  engine_options.max_batch_queue = 5;
+  for (size_t num_shards : {1u, 3u}) {
+    auto local = CreateLocalBackends(MakeCorpus(60), num_shards, engine_options);
+    ASSERT_TRUE(local.ok()) << local.status();
+    ASSERT_EQ(local.value().backends.size(), num_shards);
+    for (const auto& backend : local.value().backends) {
+      auto* shard = dynamic_cast<LocalShardBackend*>(backend.get());
+      ASSERT_NE(shard, nullptr);
+      EXPECT_EQ(shard->engine().pipeline()->configured_batch_queue(), 5u);
+    }
+    RouterOptions options;
+    options.engine = engine_options;
+    auto router = MakeRouter(MakeCorpus(60), num_shards, options);
+    EXPECT_EQ(router->pipeline()->configured_batch_queue(), 5u);
+  }
+}
+
+/// A shard behind a transport that cannot be reached: probes fail, and
+/// there is no in-process engine to publish into.
+class UnreachableBackend : public ShardBackend {
+ public:
+  Result<SelectResponse> Select(const SelectRequest&) override {
+    return Status::Unavailable("unreachable");
+  }
+  std::vector<Result<SelectResponse>> SelectBatch(
+      const std::vector<SelectRequest>& requests) override {
+    return std::vector<Result<SelectResponse>>(
+        requests.size(), Status::Unavailable("unreachable"));
+  }
+  Result<ShardStatus> Probe() override {
+    return Status::Unavailable("unreachable");
+  }
+  std::string name() const override { return "test:unreachable"; }
+};
+
+TEST(ShardRouterTest, RemoteShardsReportFailedProbesAndRefusePublication) {
+  auto full = MakeCorpus(60);
+  auto local = CreateLocalBackends(full, 2, EngineOptions{});
+  ASSERT_TRUE(local.ok()) << local.status();
+  std::vector<std::string> bounds = local.value().bounds;
+  std::vector<std::unique_ptr<ShardBackend>> backends;
+  backends.push_back(std::move(local.value().backends[0]));
+  backends.push_back(std::make_unique<UnreachableBackend>());
+  auto router = ShardRouter::Create(bounds, std::move(backends));
+  ASSERT_TRUE(router.ok()) << router.status();
+
+  router.value()->SetShardState(1, ShardState::kDown).CheckOK();
+  std::vector<ShardStatus> statuses = router.value()->ShardStatuses();
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_TRUE(statuses[0].ready);
+  EXPECT_FALSE(statuses[1].ready);
+  EXPECT_EQ(statuses[1].shard_id, 1u);
+  EXPECT_EQ(statuses[1].range.begin, bounds[1]);
+  EXPECT_EQ(statuses[1].state, ShardState::kDown);
+
+  Status refused = router.value()->ApplyShardDelta(1, full, 1);
+  EXPECT_EQ(refused.code(), StatusCode::kNotImplemented) << refused;
+  EXPECT_NE(refused.message().find("test:unreachable"), std::string::npos);
+  EXPECT_EQ(router.value()->SwapShardCorpus(1, full).code(),
+            StatusCode::kNotImplemented);
+  EXPECT_EQ(router.value()->ShardStatuses()[1].state, ShardState::kDown);
+  EXPECT_EQ(router.value()->WaitReady(0.0).code(), StatusCode::kTimeout);
 }
 
 TEST(ShardRouterTest, SwapValidatesItsArguments) {

@@ -27,10 +27,10 @@
 // --transport rpc moves each shard into its own shard_server process:
 // the CLI spawns one child per shard on private Unix sockets (or, with
 // --connect, dials an already-running fleet), waits for every shard's
-// readiness probe, routes the same queries through an RpcShardRouter,
-// and asks each spawned child to shut down when done. Responses are
-// byte-identical to --transport local — the transport-oracle CI job
-// holds the two paths to the same output.
+// readiness probe, routes the same queries through the same ShardRouter
+// over RPC backends, and asks each spawned child to shut down when
+// done. Responses are byte-identical to --transport local — the
+// transport-oracle CI job holds the two paths to the same output.
 //
 // --ingest_log tails a review WAL (service/ingest) on the local
 // transport: committed records are drained into per-shard delta
@@ -64,7 +64,6 @@
 #include "service/ingest/driver.h"
 #include "service/partitioner.h"
 #include "service/router.h"
-#include "service/rpc_router.h"
 #include "service/slo_controller.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -438,6 +437,23 @@ void TearDownFleet(const std::vector<pid_t>& pids,
   }
 }
 
+/// The per-shard header `serve` prints before answering on a
+/// multi-shard fleet — one line per shard from the router's status
+/// records, identical on either transport.
+void PrintShardHeader(const ShardRouter& router) {
+  if (router.num_shards() <= 1) return;
+  for (const ShardStatus& status : router.ShardStatuses()) {
+    if (!status.ready) {
+      std::printf("shard %zu %s: not ready\n", status.shard_id,
+                  status.range.ToString().c_str());
+      continue;
+    }
+    std::printf("shard %zu %s: %zu instances, %zu products\n",
+                status.shard_id, status.range.ToString().c_str(),
+                status.num_instances, status.num_products);
+  }
+}
+
 int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
   // Refused up front, before any child is spawned or query answered:
   // the delta builder lives in the serving process, so accepting the
@@ -510,24 +526,12 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
     backend.status().CheckOK();
     backends.push_back(std::move(backend).value());
   }
-  RpcRouterOptions rpc_options;
-  rpc_options.router_threads = static_cast<size_t>(flags.GetInt("threads"));
-  auto router = RpcShardRouter::Create(bounds.value(), std::move(backends),
-                                       rpc_options);
+  RouterOptions router_options;
+  router_options.router_threads = static_cast<size_t>(flags.GetInt("threads"));
+  auto router = ShardRouter::Create(bounds.value(), std::move(backends),
+                                    router_options);
   router.status().CheckOK();
-
-  if (num_shards > 1) {
-    // Same per-shard header lines the local transport prints, fed from
-    // the remote readiness probes.
-    std::vector<Result<ShardHealth>> health = router.value()->ProbeAll();
-    for (size_t s = 0; s < health.size(); ++s) {
-      health[s].status().CheckOK();
-      std::printf("shard %zu %s: %zu instances, %zu products\n", s,
-                  health[s].value().range.ToString().c_str(),
-                  static_cast<size_t>(health[s].value().num_instances),
-                  static_cast<size_t>(health[s].value().num_products));
-    }
-  }
+  PrintShardHeader(*router.value());
 
   std::vector<SelectRequest> requests;
   int read_rc = ReadServeRequests(flags, &requests);
@@ -594,13 +598,7 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
                                     static_cast<size_t>(shards_flag),
                                     router_options);
   router.status().CheckOK();
-  if (router.value()->num_shards() > 1) {
-    for (const ShardStatus& status : router.value()->ShardStatuses()) {
-      std::printf("shard %zu %s: %zu instances, %zu products\n",
-                  status.shard_id, status.range.ToString().c_str(),
-                  status.num_instances, status.num_products);
-    }
-  }
+  PrintShardHeader(*router.value());
 
   // The Prometheus endpoint comes up before any query is answered, so
   // an external scraper can watch a long batch live; the endpoint is
