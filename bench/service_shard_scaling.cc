@@ -11,8 +11,7 @@
 // stability across shard counts.
 //
 //   service_shard_scaling [--products N] [--instances N] [--seed S]
-//                         [--router_threads T] [--algorithm NAME]
-//                         [--outdir DIR]
+//                         [--algorithm NAME] [--outdir DIR]
 
 #include <fstream>
 #include <thread>
@@ -70,8 +69,6 @@ int main(int argc, char** argv) {
   BenchArgs args = ParseBenchArgs(
       argc, argv,
       [](FlagParser* f) {
-        f->AddInt("router_threads", 0,
-                  "router fan-out lanes (0 = hardware concurrency)");
         f->AddString("algorithm", "CompaReSetS", "selector to serve");
       },
       &flags);
@@ -85,7 +82,6 @@ int main(int argc, char** argv) {
   options.seed = args.seed;
   std::vector<SelectRequest> requests =
       InstanceRequests(*corpus, args, flags.GetString("algorithm"), options);
-  size_t router_threads = static_cast<size_t>(flags.GetInt("router_threads"));
   size_t hardware = std::thread::hardware_concurrency();
 
   std::printf("\n%zu products, %zu instances, %zu queries/pass, selector %s, "
@@ -101,7 +97,6 @@ int main(int argc, char** argv) {
     router_options.engine.measure_alignment = false;
     router_options.engine.cache_capacity = corpus->num_instances();
     router_options.engine.result_capacity = requests.size();
-    router_options.router_threads = router_threads;
     auto router = ShardRouter::Create(corpus, num_shards, router_options);
     router.status().CheckOK();
 
@@ -154,8 +149,9 @@ int main(int argc, char** argv) {
                   ? "Note: single hardware thread — shard fan-out cannot "
                     "speed up the gather here; expect ~1.00x with the "
                     "routing overhead visible as a small regression."
-                  : "Shard fan-out overlaps on the router pool; scaling is "
-                    "bounded by hardware threads and per-shard skew.");
+                  : "Shard fan-out overlaps on the fleet's one pool; "
+                    "scaling is bounded by hardware threads and per-shard "
+                    "skew.");
 
   JsonValue::Array runs;
   for (const ShardRunResult& r : results) runs.push_back(ToJson(r));

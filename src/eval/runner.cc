@@ -114,7 +114,7 @@ Result<SelectorRun> RunSelector(const ReviewSelector& selector,
   COMPARESETS_ASSIGN_OR_RETURN(
       std::vector<InstanceSolve> solves,
       SelectionEngine::SolveInstances(selector, workload.vectors(), options,
-                                      /*pool=*/nullptr, control));
+                                      ParallelContext{}, control));
   return AssembleRun(selector, workload, std::move(solves));
 }
 
@@ -131,7 +131,7 @@ Result<SelectorRun> RunSelectorParallel(const ReviewSelector& selector,
   COMPARESETS_ASSIGN_OR_RETURN(
       std::vector<InstanceSolve> solves,
       SelectionEngine::SolveInstances(selector, workload.vectors(), options,
-                                      &pool, control));
+                                      ParallelContext{&pool}, control));
   return AssembleRun(selector, workload, std::move(solves));
 }
 

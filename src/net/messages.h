@@ -16,7 +16,7 @@
 //     stops waiting, the server finishes or expires on its own
 //     (docs/execution-model.md).
 //   * SelectorOptions::parallel — a runtime control the serving engine
-//     overwrites anyway (the pool-lending nesting rule).
+//     overwrites anyway (every request fans out on the engine's pool).
 
 #pragma once
 

@@ -88,6 +88,11 @@ Result<LocalBackendSet> CreateLocalBackends(
   // a statement about the machine, not about any single shard.
   auto pipeline =
       std::make_shared<RequestPipeline>(engine_options.pipeline_options());
+  // ONE worker pool likewise: the shards' fan-outs share the machine's
+  // cores instead of each spawning a pool of its own.
+  if (engine_options.pool == nullptr) {
+    engine_options.pool = std::make_shared<ThreadPool>(engine_options.threads);
+  }
 
   LocalBackendSet set;
   set.bounds = bounds;

@@ -119,8 +119,9 @@ struct LocalBackendSet {
 /// LocalShardBackend per shard — the one partition-and-engine
 /// construction path (ShardRouter::Create(corpus, ...) is this plus the
 /// router). Every shard engine shares ONE RequestPipeline built from
-/// `engine_options` (admission stays a machine-wide budget) and gets its
-/// stable shard id. num_shards == 1 serves the input snapshot
+/// `engine_options` (admission stays a machine-wide budget) and ONE
+/// ThreadPool — `engine_options.pool`, or a new pool of
+/// `engine_options.threads` workers — and gets its stable shard id. num_shards == 1 serves the input snapshot
 /// unpartitioned — byte-for-byte a single engine.
 Result<LocalBackendSet> CreateLocalBackends(
     std::shared_ptr<const IndexedCorpus> corpus, size_t num_shards,

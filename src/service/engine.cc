@@ -89,12 +89,14 @@ SelectionEngine::SelectionEngine(std::shared_ptr<const IndexedCorpus> corpus,
                                  EngineOptions options)
     : options_(options),
       corpus_(std::move(corpus)),
-      cache_(options.cache_capacity),
-      pool_(options.threads) {
+      cache_(options.cache_capacity) {
+  // Standalone engine: a private pipeline and pool from its own knobs.
   if (options_.pipeline == nullptr) {
-    // Standalone engine: a private pipeline from the engine's own knobs.
     options_.pipeline =
         std::make_shared<RequestPipeline>(options_.pipeline_options());
+  }
+  if (options_.pool == nullptr) {
+    options_.pool = std::make_shared<ThreadPool>(options_.threads);
   }
   quality_floor_.store(static_cast<int>(options_.min_quality_tier),
                        std::memory_order_relaxed);
@@ -259,10 +261,9 @@ Result<SelectResponse> SelectionEngine::SelectAttempt(
 
   const PreparedInstance& bundle = *prepared.value();
   // The engine decides pool lending, not the caller: the request's
-  // options get the context chosen by the nesting rule (empty inside a
-  // pooled batch, the whole pool for a lone Select). The degradation
-  // floor combines the request's with the engine-wide policy — either
-  // side may loosen. At the default kExact floor SelectTiered IS
+  // options get the engine's context. The degradation floor combines
+  // the request's with the engine-wide policy — either side may
+  // loosen. At the default kExact floor SelectTiered IS
   // Select: same call, same bits.
   SelectorOptions solve_options = request.options;
   solve_options.parallel = parallel;
@@ -389,20 +390,19 @@ Status SelectionEngine::FinishError(RequestTrace trace, Status status,
 
 Result<SelectResponse> SelectionEngine::Select(
     const SelectRequest& request) const {
-  // A lone request gets the whole pool for its internal fan-out,
-  // capped by max_intra_request_threads (docs/execution-model.md), and
-  // keeps its own priority class (interactive by default).
-  return SelectWithParallel(
-      request,
-      ParallelContext{&pool_, options_.max_intra_request_threads,
-                      request.priority},
-      request.priority);
+  // A lone request keeps its own priority class (interactive by
+  // default).
+  return SelectAtPriority(request, request.priority);
 }
 
-Result<SelectResponse> SelectionEngine::SelectWithParallel(
-    const SelectRequest& request, const ParallelContext& parallel,
-    RequestPriority priority) const {
+Result<SelectResponse> SelectionEngine::SelectAtPriority(
+    const SelectRequest& request, RequestPriority priority) const {
   metrics_.counter("engine.requests").Increment();
+  // Every request, lone or inside a batch, fans its internal work out
+  // on the engine's pool, capped by max_intra_request_threads
+  // (docs/execution-model.md).
+  const ParallelContext parallel{options_.pool.get(),
+                                 options_.max_intra_request_threads, priority};
   Timer total;
 
   RequestTrace trace;
@@ -611,34 +611,22 @@ void SelectionEngine::PrefetchWindow(
 void SelectionEngine::RunWindow(
     const std::vector<SelectRequest>& requests, size_t begin, size_t end,
     std::vector<std::optional<Result<SelectResponse>>>* slots) const {
-  if (pool_.num_threads() <= 1) {
-    // Same inline in-order contract as an unwindowed single-threaded
-    // batch (see SelectBatch), under the batch-demoted priority.
-    for (size_t i = begin; i < end; ++i) {
-      RequestPriority effective =
-          DemotePriority(requests[i].priority, options_.batch_priority);
-      (*slots)[i] = SelectWithParallel(
-          requests[i],
-          ParallelContext{&pool_, options_.max_intra_request_threads,
-                          effective},
-          effective);
-    }
-    return;
-  }
-  // Pooled window: coalesce exact repeats onto their head's lane — the
-  // head solves, its duplicates replay in order behind it and
-  // deterministically memo-hit, instead of racing the head on sibling
-  // lanes (which would nondeterministically re-solve).
+  ThreadPool& pool = *options_.pool;
+  // ParallelFor lets the caller participate, so even a 1-worker pool
+  // runs two lanes. A single-threaded engine promises serial in-order
+  // batches (a repeated target is guaranteed to warm-hit) — one lane
+  // runs the window inline, in request order. On more lanes, exact
+  // repeats coalesce onto their head's lane: the head solves and its
+  // duplicates replay in order behind it, deterministically memo-hitting
+  // instead of racing the head on sibling lanes.
+  const size_t lanes = pool.num_threads() <= 1 ? 1 : 0;
+  const bool coalesce = lanes != 1 && options_.result_capacity > 0;
+  const uint64_t epoch = corpus_epoch();
   std::vector<std::vector<size_t>> groups;
   std::unordered_map<std::string, size_t> group_of;
-  uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(corpus_mutex_);
-    epoch = corpus_epoch_;
-  }
   for (size_t i = begin; i < end; ++i) {
     const SelectRequest& request = requests[i];
-    if (options_.result_capacity == 0 || request.target_id.empty()) {
+    if (!coalesce || request.target_id.empty()) {
       groups.push_back({i});
       continue;
     }
@@ -651,72 +639,38 @@ void SelectionEngine::RunWindow(
       groups[it->second].push_back(i);
     }
   }
-  pool_.ParallelFor(
+  // The lanes run in the batch class, so a concurrent interactive
+  // Select's helpers jump ahead of them in the deques; each request
+  // fans out on the same pool under its batch-demoted priority.
+  pool.ParallelFor(
       groups.size(),
       [&](size_t g) {
         for (size_t i : groups[g]) {
-          RequestPriority effective =
-              DemotePriority(requests[i].priority, options_.batch_priority);
-          (*slots)[i] = SelectWithParallel(
-              requests[i], ParallelContext{nullptr, 0, effective}, effective);
+          (*slots)[i] = SelectAtPriority(
+              requests[i],
+              DemotePriority(requests[i].priority, options_.batch_priority));
         }
       },
-      0, options_.batch_priority);
+      lanes, options_.batch_priority);
 }
 
 std::vector<Result<SelectResponse>> SelectionEngine::SelectBatch(
     const std::vector<SelectRequest>& requests) const {
   metrics_.counter("engine.batches").Increment();
   std::vector<std::optional<Result<SelectResponse>>> slots(requests.size());
-  size_t window = options_.batch_kernel_window;
-  if (window >= 2 && requests.size() > 1) {
-    // Windowed batching: stage each window's shared kernel work (unique
-    // prepares + batched Gram builds) before any of its requests
-    // solves. Payloads are bit-identical to the unwindowed path; only
-    // warm-state flags change (prefetched requests report cache_hit).
-    for (size_t begin = 0; begin < requests.size(); begin += window) {
-      size_t end = std::min(begin + window, requests.size());
-      PrefetchWindow(requests, begin, end);
-      RunWindow(requests, begin, end, &slots);
-    }
-    std::vector<Result<SelectResponse>> responses;
-    responses.reserve(slots.size());
-    for (auto& slot : slots) responses.push_back(std::move(*slot));
-    return responses;
-  }
-  if (pool_.num_threads() <= 1) {
-    // ParallelFor lets the caller thread participate, so even a 1-worker
-    // pool runs two concurrent lanes. A single-threaded engine promises
-    // serial in-order batches (so e.g. a repeated target is guaranteed to
-    // warm-hit the vector cache) — run inline instead. The requests run
-    // one at a time, so each may still lend the (idle) pool to its
-    // internal fan-out, exactly like a lone Select — but under the
-    // batch-demoted priority class.
-    for (size_t i = 0; i < requests.size(); ++i) {
-      RequestPriority effective =
-          DemotePriority(requests[i].priority, options_.batch_priority);
-      slots[i] = SelectWithParallel(
-          requests[i],
-          ParallelContext{&pool_, options_.max_intra_request_threads,
-                          effective},
-          effective);
-    }
-  } else {
-    // Nesting rule: the batch fan-out owns the pool, so the requests
-    // inside it solve with an empty context (intra-request fan-out from
-    // a pool worker would deadlock-prone re-enter the pool for no
-    // gain — the workers are already busy with sibling requests). The
-    // fan-out tasks themselves run in the batch class, so a concurrent
-    // interactive Select's helpers jump ahead of them in the deques.
-    pool_.ParallelFor(
-        requests.size(),
-        [&](size_t i) {
-          RequestPriority effective =
-              DemotePriority(requests[i].priority, options_.batch_priority);
-          slots[i] = SelectWithParallel(
-              requests[i], ParallelContext{nullptr, 0, effective}, effective);
-        },
-        0, options_.batch_priority);
+  // Windowed batching stages each window's shared kernel work (unique
+  // prepares + batched Gram builds) before any of its requests solves.
+  // Payloads are bit-identical to the unwindowed path; only warm-state
+  // flags change (prefetched requests report cache_hit). With the
+  // window off, the whole batch is one window with no prefetch.
+  const bool windowed =
+      options_.batch_kernel_window >= 2 && requests.size() > 1;
+  const size_t window =
+      windowed ? options_.batch_kernel_window : requests.size();
+  for (size_t begin = 0; begin < requests.size(); begin += window) {
+    size_t end = std::min(begin + window, requests.size());
+    if (windowed) PrefetchWindow(requests, begin, end);
+    RunWindow(requests, begin, end, &slots);
   }
 
   std::vector<Result<SelectResponse>> responses;
@@ -757,41 +711,27 @@ std::string SelectionEngine::RenderPrometheus() const {
 Result<std::vector<InstanceSolve>> SelectionEngine::SolveInstances(
     const ReviewSelector& selector,
     const std::vector<InstanceVectors>& vectors,
-    const SelectorOptions& options, ThreadPool* pool,
+    const SelectorOptions& options, const ParallelContext& parallel,
     const ExecControl* control) {
+  // Every lane writes only its own slots; the index-ordered merge below
+  // reports the lowest failing index whatever the completion order.
   size_t n = vectors.size();
   std::vector<InstanceSolve> solves(n);
-
-  if (pool == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      Timer timer;
-      COMPARESETS_ASSIGN_OR_RETURN(
-          solves[i].result, selector.Select(vectors[i], options, control));
-      solves[i].seconds = timer.ElapsedSeconds();
-    }
-    return solves;
-  }
-
-  std::mutex error_mutex;
-  Status first_error = Status::OK();
-  size_t first_error_index = n;
-  pool->ParallelFor(n, [&](size_t i) {
-    Timer timer;
-    auto result = selector.Select(vectors[i], options, control);
-    solves[i].seconds = timer.ElapsedSeconds();
-    if (!result.ok()) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      // Report the lowest failing index so the error is deterministic
-      // regardless of completion order.
-      if (i < first_error_index) {
-        first_error = result.status();
-        first_error_index = i;
-      }
-      return;
-    }
-    solves[i].result = std::move(result).value();
-  });
-  if (!first_error.ok()) return first_error;
+  std::vector<Status> statuses(n);
+  RunParallel(
+      parallel, n,
+      [&](size_t i) {
+        Timer timer;
+        auto result = selector.Select(vectors[i], options, control);
+        solves[i].seconds = timer.ElapsedSeconds();
+        if (!result.ok()) {
+          statuses[i] = result.status();
+          return;
+        }
+        solves[i].result = std::move(result).value();
+      },
+      control);
+  for (const Status& status : statuses) COMPARESETS_RETURN_NOT_OK(status);
   return solves;
 }
 

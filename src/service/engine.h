@@ -1,8 +1,9 @@
 // SelectionEngine: the serving façade of the library. One engine owns
 // an immutable IndexedCorpus snapshot, a bounded VectorCache of
-// prepared per-instance contexts, a fixed-size ThreadPool, and a
-// MetricsRegistry — and answers structured per-target requests
-// (`Select`) or whole batches (`SelectBatch`) from that warm state.
+// prepared per-instance contexts and a MetricsRegistry, fans its work
+// out on a ThreadPool (private, or shared across a shard fleet), and
+// answers structured per-target requests (`Select`) or whole batches
+// (`SelectBatch`) from that warm state.
 //
 // This is the layer the ROADMAP's "many concurrent comparison requests
 // over one catalog" goal rests on: the repro harness (eval/runner), the
@@ -57,12 +58,13 @@
 namespace comparesets {
 
 struct EngineOptions {
-  /// Worker threads in the engine's ONE pool (0 = hardware
-  /// concurrency). SelectBatch fans requests out over it; a single
-  /// Select lends it to the request's intra-request fan-out instead
-  /// (docs/execution-model.md). With 1, batches run serially in order
-  /// on the calling thread, so a repeated target later in the batch is
-  /// guaranteed to warm-hit the vector cache.
+  /// Worker threads of the pool the engine builds when `pool` is
+  /// nullptr (0 = hardware concurrency). SelectBatch fans requests out
+  /// over the pool and every request, lone or batched, fans its
+  /// internal per-item work out on the same pool
+  /// (docs/execution-model.md). With a 1-worker pool, batches run
+  /// serially in order on the calling thread, so a repeated target
+  /// later in the batch is guaranteed to warm-hit the vector cache.
   size_t threads = 0;
   /// Cap on the lanes one request's *internal* fan-out may use (the
   /// per-item solves, CompaReSetS+ round refits, similarity-graph
@@ -145,6 +147,11 @@ struct EngineOptions {
   /// pipeline across all its shard engines so max_in_flight is a
   /// fleet-wide budget, not per-shard.
   std::shared_ptr<RequestPipeline> pipeline;
+  /// Worker pool shared with other engines (and a router). nullptr =
+  /// the engine builds a private pool of `threads` workers.
+  /// CreateLocalBackends installs one pool across all its shard engines
+  /// so a serving process runs one set of workers, not one per shard.
+  std::shared_ptr<ThreadPool> pool;
 
   /// The admission/retry knobs above (max_in_flight, max_queue,
   /// max_batch_queue, max_attempts, retry_backoff_seconds) as the
@@ -161,8 +168,8 @@ struct SelectRequest {
   /// Selector name, as accepted by MakeSelector.
   std::string selector = "CompaReSetS+";
   /// m / λ / μ / seed / sync rounds. The `parallel` member is
-  /// overwritten by the engine — pool lending follows the nesting rule
-  /// (outer batch fan-out wins), never the caller's value.
+  /// overwritten by the engine: every request fans out on the engine's
+  /// pool, capped by max_intra_request_threads, never on the caller's.
   SelectorOptions options;
   /// Per-request latency budget, spanning queue wait + prepare + solve
   /// (<= 0: none). Expiry returns kDeadlineExceeded. Runtime control
@@ -235,13 +242,12 @@ class SelectionEngine {
   /// kCancelled / kResourceExhausted.
   Result<SelectResponse> Select(const SelectRequest& request) const;
 
-  /// Answers a batch concurrently on the internal pool. Responses are
-  /// in request order; each request succeeds or fails independently.
-  /// Nesting rule: requests inside a pooled batch solve serially
-  /// internally (the pool is already saturated by the batch fan-out);
-  /// on a single-threaded engine the inline, in-order requests get the
-  /// intra-request context instead. Either way each response is
-  /// bit-identical to what Select would return.
+  /// Answers a batch concurrently on the pool. Responses are in
+  /// request order; each request succeeds or fails independently and
+  /// fans its internal work out on the same pool, like a lone Select,
+  /// under the batch-demoted priority. Exact repeats run behind their
+  /// first occurrence, so they deterministically memo-hit it. Each
+  /// response is bit-identical to what Select would return.
   std::vector<Result<SelectResponse>> SelectBatch(
       const std::vector<SelectRequest>& requests) const;
 
@@ -311,29 +317,27 @@ class SelectionEngine {
   std::vector<RequestTrace> Traces() const { return metrics_.Traces(); }
 
   /// Low-level batched execution backend: runs `selector` over every
-  /// prepared vector context, distributing instances over `pool`
-  /// (nullptr = serial, in index order). Shared with the eval runner,
-  /// which layers alignment aggregation on top. `control` (optional)
-  /// threads a shared deadline/cancellation into every instance solve.
+  /// prepared vector context, distributing instances over `parallel`
+  /// (an empty context = serial, in index order). Shared with the eval
+  /// runner, which layers alignment aggregation on top. A failure
+  /// reports the lowest failing index. `control` (optional) threads a
+  /// shared deadline/cancellation into every instance solve.
   static Result<std::vector<InstanceSolve>> SolveInstances(
       const ReviewSelector& selector,
       const std::vector<InstanceVectors>& vectors,
-      const SelectorOptions& options, ThreadPool* pool,
+      const SelectorOptions& options, const ParallelContext& parallel,
       const ExecControl* control = nullptr);
 
  private:
-  /// Select with an explicit intra-request context — the single place
-  /// the nesting rule is decided: Select passes the pool, a pooled
-  /// SelectBatch passes an empty context. `priority` is the request's
-  /// EFFECTIVE class (after any batch demotion): it picks the admission
-  /// budget and is stamped into the trace.
-  Result<SelectResponse> SelectWithParallel(
-      const SelectRequest& request, const ParallelContext& parallel,
-      RequestPriority priority) const;
+  /// Select under the request's EFFECTIVE priority (after any batch
+  /// demotion): it picks the admission budget, classes the request's
+  /// fan-out helpers and is stamped into the trace.
+  Result<SelectResponse> SelectAtPriority(const SelectRequest& request,
+                                          RequestPriority priority) const;
 
   /// One try of the prepare → solve → memo pipeline (everything past
   /// admission and the memo lookup). Transient failures bubble up for
-  /// the retry loop in SelectWithParallel. `parallel` replaces the
+  /// the retry loop in SelectAtPriority. `parallel` replaces the
   /// request options' context before the solve.
   Result<SelectResponse> SelectAttempt(
       const SelectRequest& request,
@@ -365,9 +369,9 @@ class SelectionEngine {
   void PrefetchWindow(const std::vector<SelectRequest>& requests, size_t begin,
                       size_t end) const;
 
-  /// Runs window [begin, end) of a windowed batch: inline in order on a
-  /// single-threaded engine, pooled with exact repeats coalesced onto
-  /// their head's lane otherwise.
+  /// Runs window [begin, end) of a batch (the whole batch when the
+  /// kernel window is off): inline in order on a 1-worker pool, pooled
+  /// with exact repeats coalesced onto their head's lane otherwise.
   void RunWindow(const std::vector<SelectRequest>& requests, size_t begin,
                  size_t end,
                  std::vector<std::optional<Result<SelectResponse>>>* slots)
@@ -418,7 +422,6 @@ class SelectionEngine {
   std::atomic<int> quality_floor_{static_cast<int>(QualityTier::kExact)};
   std::atomic<bool> slo_shedding_{false};
   mutable MetricsRegistry metrics_;
-  mutable ThreadPool pool_;
 };
 
 }  // namespace comparesets

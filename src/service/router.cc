@@ -23,7 +23,9 @@ ShardRouter::ShardRouter(RouterOptions options, std::vector<std::string> bounds,
       batches_(metrics_.counter("router.batches")),
       routed_(metrics_.counter("router.routed")),
       unavailable_(metrics_.counter("router.unavailable")),
-      pool_(options_.router_threads) {
+      pool_(options_.engine.pool != nullptr
+                ? options_.engine.pool
+                : std::make_shared<ThreadPool>(options_.engine.threads)) {
   for (size_t s = 0; s < backends_.size(); ++s) {
     engines_.push_back(backends_[s]->local_engine());
     states_[s].store(static_cast<int>(ShardState::kServing));
@@ -35,6 +37,11 @@ ShardRouter::ShardRouter(RouterOptions options, std::vector<std::string> bounds,
 Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     std::shared_ptr<const IndexedCorpus> corpus, size_t num_shards,
     RouterOptions options) {
+  // One pool per serving process: the shard engines fan out on it and
+  // the router scatters on it.
+  if (options.engine.pool == nullptr) {
+    options.engine.pool = std::make_shared<ThreadPool>(options.engine.threads);
+  }
   COMPARESETS_ASSIGN_OR_RETURN(
       LocalBackendSet local,
       CreateLocalBackends(std::move(corpus), num_shards, options.engine));
@@ -186,17 +193,13 @@ std::vector<Result<SelectResponse>> ShardRouter::SelectBatch(
   for (size_t s = 0; s < by_shard.size(); ++s) {
     if (!by_shard[s].empty()) active.push_back(s);
   }
-  if (active.size() <= 1 || pool_.num_threads() <= 1) {
-    // Nothing to overlap (or a 1-lane router): run sub-batches serially
-    // in shard order on the calling thread.
-    for (size_t s : active) run_shard(s);
-  } else {
-    // Fan out one lane per active shard on the ROUTER's pool; each
-    // engine then fans its sub-batch out on ITS pool. Distinct pools,
-    // so the engine nesting rule is never violated by this outer layer.
-    pool_.ParallelFor(active.size(),
-                      [&](size_t k) { run_shard(active[k]); });
-  }
+  // One lane per active shard, in the batch class (a concurrent lone
+  // Select's helpers jump ahead). A 1-worker pool runs the sub-batches
+  // inline in shard order. Each in-process engine then fans its
+  // sub-batch out on this same pool.
+  pool_->ParallelFor(
+      active.size(), [&](size_t k) { run_shard(active[k]); },
+      pool_->num_threads() <= 1 ? 1 : 0, options_.engine.batch_priority);
 
   std::vector<Result<SelectResponse>> responses;
   responses.reserve(slots.size());

@@ -5,8 +5,8 @@
 // the same code serves in-process engines (LocalShardBackend) and
 // shard_server processes over the wire (RpcShardBackend). A `Select`
 // routes to the shard owning its target; a `SelectBatch` splits the
-// batch by shard, fans the sub-batches out on the router's own
-// ThreadPool, and reassembles responses in request order. Output is
+// batch by shard, fans the sub-batches out on the fleet's ThreadPool,
+// and reassembles responses in request order. Output is
 // bit-identical to a single SelectionEngine over the unpartitioned
 // corpus, whatever the transport — shards hold exact slices of the same
 // instance enumeration, so routing is pure dispatch, never
@@ -31,11 +31,11 @@
 //   * Fault injection — seams at the route decision (FaultSite::kRoute)
 //     and at each per-shard gather task (FaultSite::kGather).
 //
-// Threading (docs/execution-model.md): the router's fan-out is a layer
-// ABOVE the engines and owns its own pool, one lane per shard
-// sub-batch. Each shard engine still applies the engine nesting rule to
-// its sub-batch on its own pool, so the two layers never re-enter the
-// same pool.
+// Threading (docs/execution-model.md): one pool per serving process.
+// The router scatters one lane per shard sub-batch on the same pool its
+// in-process shard engines fan their batches and requests out on;
+// nested ParallelFor on one pool always finishes, because every caller
+// drains its own loop and waits only on lanes already running.
 
 #pragma once
 
@@ -53,13 +53,11 @@ namespace comparesets {
 
 struct RouterOptions {
   /// Configuration applied to every shard engine the corpus factory
-  /// builds (`shard_id` and `pipeline` are stamped per shard by
-  /// CreateLocalBackends). The backends factory ignores it: its shards
-  /// are already built.
+  /// builds (`shard_id` is stamped per shard; `pipeline` and `pool` are
+  /// installed fleet-wide by CreateLocalBackends). The backends factory
+  /// reads only `pool`, `threads` and `batch_priority`, for its
+  /// scatter: its shards are already built.
   EngineOptions engine;
-  /// Lanes for the scatter/gather fan-out over shards (0 = hardware
-  /// concurrency). With <= 1, sub-batches run serially in shard order.
-  size_t router_threads = 0;
   /// Deterministic fault injection at the router's seams (kRoute /
   /// kGather); nullptr = no faults. Independent of the engine-level
   /// injector in `engine.fault_injector`.
@@ -70,15 +68,20 @@ class ShardRouter {
  public:
   /// Partitions `corpus` into `num_shards` target-id ranges and routes
   /// over one in-process engine per shard: CreateLocalBackends plus the
-  /// backends factory below. num_shards == 1 serves the input snapshot
-  /// unpartitioned — byte-for-byte a single engine.
+  /// backends factory below, all on one pool (`options.engine.pool`, or
+  /// a new one of `options.engine.threads` workers). num_shards == 1
+  /// serves the input snapshot unpartitioned — byte-for-byte a single
+  /// engine.
   static Result<std::unique_ptr<ShardRouter>> Create(
       std::shared_ptr<const IndexedCorpus> corpus, size_t num_shards,
       RouterOptions options = {});
 
   /// Routes over already-built shards of any transport. `bounds` are
   /// the partition lower bounds (bounds[0] == "", sorted, one per
-  /// backend); `backends` the shards in range order.
+  /// backend); `backends` the shards in range order. The scatter runs
+  /// on `options.engine.pool`, or on a new pool of
+  /// `options.engine.threads` workers when that is nullptr (a fleet of
+  /// remote shards).
   static Result<std::unique_ptr<ShardRouter>> Create(
       std::vector<std::string> bounds,
       std::vector<std::unique_ptr<ShardBackend>> backends,
@@ -93,9 +96,9 @@ class ShardRouter {
 
   /// Scatter/gather: splits the batch by shard, sends each sub-batch to
   /// the owning backend as one unit (one frame over RPC), concurrently
-  /// across shards when the router pool has lanes, and reassembles in
-  /// request order. Requests whose shard is unavailable fail
-  /// individually; the rest proceed. Each request's deadline spans the
+  /// across shards when the pool has more than one worker, and
+  /// reassembles in request order. Requests whose shard is unavailable
+  /// fail individually; the rest proceed. Each request's deadline spans the
   /// whole gather — time lost before its shard dispatches counts
   /// against it.
   std::vector<Result<SelectResponse>> SelectBatch(
@@ -230,7 +233,8 @@ class ShardRouter {
   Counter& routed_;
   Counter& unavailable_;
   std::vector<Counter*> shard_requests_;
-  mutable ThreadPool pool_;
+  /// The pool the scatter runs on (shared with local shard engines).
+  std::shared_ptr<ThreadPool> pool_;
 };
 
 }  // namespace comparesets

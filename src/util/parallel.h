@@ -9,12 +9,12 @@
 // bit-identical to `max_threads = 1` (asserted by
 // tests/core_parallel_determinism_test.cc).
 //
-// Pool ownership and the nesting rule (docs/execution-model.md): the
-// SelectionEngine owns the only pool and decides who gets it. A batch
-// (`SelectBatch`) fans requests out across the pool, so the requests
-// inside it run with an empty context (outer parallelism wins — the
-// pool is already saturated); a single `Select` gets the whole pool.
-// Selectors never create threads of their own.
+// Pool ownership (docs/execution-model.md): a serving process has one
+// pool, and the SelectionEngine hands every request — lone or inside a
+// batch that itself fans out on the pool — a context over it, capped by
+// EngineOptions::max_intra_request_threads. Nested fan-out on one pool
+// always finishes (ThreadPool::ParallelFor). Selectors never create
+// threads of their own.
 
 #pragma once
 

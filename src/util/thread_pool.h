@@ -17,10 +17,11 @@
 //     thread participates in the loop, so ParallelFor makes progress
 //     even on a fully busy (or 1-thread) pool.
 //
-// Ownership model (docs/execution-model.md): a process typically holds
-// ONE pool per engine, sized to the hardware, and lends it out — batch
-// fan-out and intra-request fan-out (util/parallel.h) share it rather
-// than each spawning threads, so the process never oversubscribes.
+// Ownership model (docs/execution-model.md): a serving process holds
+// ONE pool, sized to the hardware, and lends it out — router scatter,
+// batch fan-out and intra-request fan-out (util/parallel.h) nest on it
+// rather than each spawning threads, so the process never
+// oversubscribes.
 
 #pragma once
 
@@ -78,9 +79,10 @@ class ThreadPool {
   /// immediately, so the loop always progresses).
   ///
   /// Safe to call from multiple threads concurrently (each call claims
-  /// its own index range), but not reentrantly from inside a body —
-  /// nested fan-out must follow the outer-wins rule instead
-  /// (docs/execution-model.md).
+  /// its own index range) and from inside a body or a task running on
+  /// this pool: the caller drains its own loop and then waits only on
+  /// indices that running lanes already claimed, so nested loops always
+  /// finish, at any depth and pool size (docs/execution-model.md).
   void ParallelFor(size_t n, const std::function<void(size_t)>& body,
                    size_t max_lanes = 0,
                    RequestPriority priority = RequestPriority::kInteractive);

@@ -4,7 +4,7 @@
 // results to the serial path — same selections, same objective doubles,
 // same error on cancellation/deadline expiry. These tests pin that
 // guarantee at the selector level; service_intra_parallel_test pins the
-// engine-level nesting rule on top.
+// engine-level fan-out (lone and batched requests) on top.
 
 #include <atomic>
 #include <vector>

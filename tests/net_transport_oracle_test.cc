@@ -165,7 +165,7 @@ std::unique_ptr<RpcFixture> StartFleet(
   }
 
   RouterOptions router_options;
-  router_options.router_threads = 1;
+  router_options.engine.threads = 1;
   router_options.fault_injector = std::move(router_faults);
   auto router = ShardRouter::Create(
       std::move(local).value().bounds, std::move(rpc_backends), router_options);
@@ -186,7 +186,6 @@ TEST_P(TransportOracleTest, RpcMatchesLocalRouterAndSingleEngine) {
   SelectionEngine reference(corpus, engine_options);
   RouterOptions router_options;
   router_options.engine = engine_options;
-  router_options.router_threads = 1;
   auto local_router = ShardRouter::Create(corpus, num_shards, router_options);
   ASSERT_TRUE(local_router.ok()) << local_router.status();
 
@@ -303,7 +302,6 @@ TEST_P(TransportOracleTest, MidGatherDeadlineExpiryIsCanonicalOnBothPaths) {
   };
   RouterOptions local_options;
   local_options.engine = engine_options;
-  local_options.router_threads = 1;
   local_options.fault_injector = std::make_shared<FaultInjector>(make_plan());
   auto local_router = ShardRouter::Create(corpus, num_shards, local_options);
   ASSERT_TRUE(local_router.ok()) << local_router.status();
@@ -357,7 +355,6 @@ TEST_P(TransportOracleTest, DownShardRefusesOnlyItsRangeOnBothPaths) {
   engine_options.threads = 1;
   RouterOptions local_options;
   local_options.engine = engine_options;
-  local_options.router_threads = 1;
   auto local_router = ShardRouter::Create(corpus, num_shards, local_options);
   ASSERT_TRUE(local_router.ok()) << local_router.status();
   ShardRouter& local = *local_router.value();

@@ -1,8 +1,7 @@
 // Engine-level contract of intra-request parallelism
-// (docs/execution-model.md): a lone Select lends the pool to the
-// request's internal fan-out, a pooled SelectBatch keeps it for the
-// batch (requests inside solve serially), and every configuration
-// returns bit-identical responses. Also pins the new observability:
+// (docs/execution-model.md): every request, lone or inside a pooled
+// SelectBatch, fans its internal work out on the engine's one pool, and
+// every configuration returns bit-identical responses. Also pins the new observability:
 // solver.intra_parallel_* counters, trace fields, and span timings.
 
 #include <string>
@@ -128,9 +127,11 @@ TEST(ServiceIntraParallelTest, MemoHitSkipsSolveButTraceStaysFresh) {
   EXPECT_TRUE(second.value().trace.spans.empty());
 }
 
-// Nesting rule: requests inside a pooled batch run with an empty
-// context — the pool already belongs to the batch fan-out.
-TEST(ServiceIntraParallelTest, PooledBatchRequestsSolveSeriallyInside) {
+// One pool, one context: requests inside a pooled batch fan their
+// per-item work out on the same pool the batch fans out on (nested
+// ParallelFor on one pool always finishes), and every payload matches
+// the lone Select's.
+TEST(ServiceIntraParallelTest, PooledBatchRequestsFanOutInside) {
   EngineOptions options = FastOptions();
   options.threads = 3;
   options.result_capacity = 0;
@@ -144,7 +145,13 @@ TEST(ServiceIntraParallelTest, PooledBatchRequestsSolveSeriallyInside) {
   ASSERT_EQ(responses.size(), requests.size());
   for (size_t i = 0; i < responses.size(); ++i) {
     ASSERT_TRUE(responses[i].ok()) << "request " << i;
-    EXPECT_EQ(responses[i].value().trace.intra_parallel_fanouts, 0u)
+    EXPECT_GT(responses[i].value().trace.intra_parallel_fanouts, 0u)
+        << "request " << i;
+    auto lone = engine.Select(requests[i]);
+    ASSERT_TRUE(lone.ok()) << "request " << i;
+    EXPECT_EQ(responses[i].value().selections, lone.value().selections)
+        << "request " << i;
+    EXPECT_EQ(responses[i].value().objective, lone.value().objective)
         << "request " << i;
   }
 }

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -111,47 +114,87 @@ std::vector<SelectRequest> MixedStream(const IndexedCorpus& corpus) {
   return requests;
 }
 
-class RouterDeterminismTest : public ::testing::TestWithParam<size_t> {};
+/// The catalog every RouterDeterminismTest instance serves (immutable,
+/// so built once).
+std::shared_ptr<const IndexedCorpus> SuiteCorpus() {
+  static const std::shared_ptr<const IndexedCorpus> corpus = MakeCorpus(80);
+  return corpus;
+}
+
+/// The serial single engine's answers for one scenario, computed on
+/// first use and shared by every (shards, threads) instance: the
+/// reference depends on none of the parameters.
+const std::vector<Result<SelectResponse>>& ReferenceAnswers(
+    const std::string& scenario,
+    const std::function<std::vector<Result<SelectResponse>>()>& compute) {
+  static std::map<std::string, std::vector<Result<SelectResponse>>> answers;
+  auto it = answers.find(scenario);
+  if (it == answers.end()) it = answers.emplace(scenario, compute()).first;
+  return it->second;
+}
+
+/// (shards, pool threads). The reference is always a serial single
+/// engine; the router runs its scatter, the shard batches and each
+/// request's fan-out on one pool of `threads` workers. Only a 1-thread
+/// pool runs requests in the serial order that fixes the warm-state
+/// flags, so wider pools compare payloads and Statuses only.
+class RouterDeterminismTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {
+ protected:
+  size_t shards() const { return std::get<0>(GetParam()); }
+  size_t threads() const { return std::get<1>(GetParam()); }
+  bool check_flags() const { return threads() == 1; }
+
+  /// A router over `shards()` shards on a `threads()`-worker pool,
+  /// otherwise configured like `engine_options`.
+  std::unique_ptr<ShardRouter> MakeRouter(EngineOptions engine_options) const {
+    RouterOptions router_options;
+    router_options.engine = engine_options;
+    router_options.engine.threads = threads();
+    auto router = ShardRouter::Create(SuiteCorpus(), shards(), router_options);
+    router.status().CheckOK();
+    return std::move(router).value();
+  }
+};
 
 TEST_P(RouterDeterminismTest, SelectMatchesTheSingleEngine) {
-  auto corpus = MakeCorpus(80);
   EngineOptions engine_options;
   engine_options.threads = 1;
-  SelectionEngine reference(corpus, engine_options);
-  RouterOptions router_options;
-  router_options.engine = engine_options;
-  router_options.router_threads = 1;
-  auto router = ShardRouter::Create(corpus, GetParam(), router_options);
-  ASSERT_TRUE(router.ok()) << router.status();
-  ASSERT_EQ(router.value()->num_shards(), GetParam());
+  std::vector<SelectRequest> requests = MixedStream(*SuiteCorpus());
+  const auto& want = ReferenceAnswers("select", [&] {
+    SelectionEngine reference(SuiteCorpus(), engine_options);
+    std::vector<Result<SelectResponse>> answers;
+    for (const SelectRequest& request : requests) {
+      answers.push_back(reference.Select(request));
+    }
+    return answers;
+  });
+  auto router = MakeRouter(engine_options);
+  ASSERT_EQ(router->num_shards(), shards());
 
-  for (const SelectRequest& request : MixedStream(*corpus)) {
-    ExpectSameResponse(router.value()->Select(request),
-                       reference.Select(request),
-                       "Select target=" + request.target_id);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ExpectSameResponse(router->Select(requests[i]), want[i],
+                       "Select target=" + requests[i].target_id,
+                       check_flags());
   }
 }
 
 TEST_P(RouterDeterminismTest, SelectBatchMatchesTheSingleEngine) {
-  auto corpus = MakeCorpus(80);
   EngineOptions engine_options;
   engine_options.threads = 1;
-  SelectionEngine reference(corpus, engine_options);
-  RouterOptions router_options;
-  router_options.engine = engine_options;
-  router_options.router_threads = 1;
-  auto router = ShardRouter::Create(corpus, GetParam(), router_options);
-  ASSERT_TRUE(router.ok()) << router.status();
+  std::vector<SelectRequest> requests = MixedStream(*SuiteCorpus());
+  const auto& want = ReferenceAnswers("batch", [&] {
+    return SelectionEngine(SuiteCorpus(), engine_options).SelectBatch(requests);
+  });
+  auto router = MakeRouter(engine_options);
 
-  std::vector<SelectRequest> requests = MixedStream(*corpus);
-  std::vector<Result<SelectResponse>> want = reference.SelectBatch(requests);
-  std::vector<Result<SelectResponse>> got =
-      router.value()->SelectBatch(requests);
+  std::vector<Result<SelectResponse>> got = router->SelectBatch(requests);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ExpectSameResponse(got[i], want[i],
                        "batch[" + std::to_string(i) +
-                           "] target=" + requests[i].target_id);
+                           "] target=" + requests[i].target_id,
+                       check_flags());
   }
 }
 
@@ -162,26 +205,22 @@ TEST_P(RouterDeterminismTest, WindowedSelectBatchMatchesWindowedEngine) {
   // stream, yet responses — including the warm-state flags — must still
   // match: every prefetched request is a cache hit on both sides, and
   // repeats memo-hit in request order either way.
-  auto corpus = MakeCorpus(80);
   EngineOptions engine_options;
   engine_options.threads = 1;
   engine_options.batch_kernel_window = 3;
-  SelectionEngine reference(corpus, engine_options);
-  RouterOptions router_options;
-  router_options.engine = engine_options;
-  router_options.router_threads = 1;
-  auto router = ShardRouter::Create(corpus, GetParam(), router_options);
-  ASSERT_TRUE(router.ok()) << router.status();
+  std::vector<SelectRequest> requests = MixedStream(*SuiteCorpus());
+  const auto& want = ReferenceAnswers("windowed", [&] {
+    return SelectionEngine(SuiteCorpus(), engine_options).SelectBatch(requests);
+  });
+  auto router = MakeRouter(engine_options);
 
-  std::vector<SelectRequest> requests = MixedStream(*corpus);
-  std::vector<Result<SelectResponse>> want = reference.SelectBatch(requests);
-  std::vector<Result<SelectResponse>> got =
-      router.value()->SelectBatch(requests);
+  std::vector<Result<SelectResponse>> got = router->SelectBatch(requests);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ExpectSameResponse(got[i], want[i],
                        "windowed batch[" + std::to_string(i) +
-                           "] target=" + requests[i].target_id);
+                           "] target=" + requests[i].target_id,
+                       check_flags());
   }
 }
 
@@ -190,46 +229,60 @@ TEST_P(RouterDeterminismTest, PriorityClassIsPayloadInvisible) {
   // decides who waits, never what is computed. A stream stamped kBatch
   // answers bit-identically to the same stream stamped kInteractive —
   // and to an engine configured not to demote batches at all.
-  auto corpus = MakeCorpus(80);
   EngineOptions engine_options;
   engine_options.threads = 1;
-  SelectionEngine reference(corpus, engine_options);
-
-  RouterOptions router_options;
-  router_options.engine = engine_options;
-  router_options.router_threads = 1;
-  auto router = ShardRouter::Create(corpus, GetParam(), router_options);
-  ASSERT_TRUE(router.ok()) << router.status();
-
-  RouterOptions fifo_options = router_options;
-  fifo_options.engine.batch_priority = RequestPriority::kInteractive;
-  auto fifo_router = ShardRouter::Create(corpus, GetParam(), fifo_options);
-  ASSERT_TRUE(fifo_router.ok()) << fifo_router.status();
-
   const RequestPriority priorities[] = {RequestPriority::kInteractive,
                                         RequestPriority::kBatch};
+  std::vector<std::vector<SelectRequest>> streams;
   for (RequestPriority priority : priorities) {
-    std::vector<SelectRequest> requests = MixedStream(*corpus);
-    for (SelectRequest& request : requests) request.priority = priority;
-    std::vector<Result<SelectResponse>> want = reference.SelectBatch(requests);
-    std::vector<Result<SelectResponse>> got =
-        router.value()->SelectBatch(requests);
-    std::vector<Result<SelectResponse>> fifo =
-        fifo_router.value()->SelectBatch(requests);
-    ASSERT_EQ(got.size(), want.size());
-    ASSERT_EQ(fifo.size(), want.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const std::string where = std::string(RequestPriorityName(priority)) +
-                                " batch[" + std::to_string(i) +
-                                "] target=" + requests[i].target_id;
-      ExpectSameResponse(got[i], want[i], where);
-      ExpectSameResponse(fifo[i], want[i], "fifo " + where);
+    streams.push_back(MixedStream(*SuiteCorpus()));
+    for (SelectRequest& request : streams.back()) request.priority = priority;
+  }
+  // Both streams through one reference engine, one batch after the
+  // other, answers concatenated.
+  const auto& want = ReferenceAnswers("priority", [&] {
+    SelectionEngine reference(SuiteCorpus(), engine_options);
+    std::vector<Result<SelectResponse>> answers;
+    for (const std::vector<SelectRequest>& stream : streams) {
+      for (auto& answer : reference.SelectBatch(stream)) {
+        answers.push_back(std::move(answer));
+      }
     }
+    return answers;
+  });
+  auto router = MakeRouter(engine_options);
+  EngineOptions fifo_options = engine_options;
+  fifo_options.batch_priority = RequestPriority::kInteractive;
+  auto fifo_router = MakeRouter(fifo_options);
+
+  size_t offset = 0;
+  for (const std::vector<SelectRequest>& requests : streams) {
+    std::vector<Result<SelectResponse>> got = router->SelectBatch(requests);
+    std::vector<Result<SelectResponse>> fifo =
+        fifo_router->SelectBatch(requests);
+    ASSERT_EQ(got.size(), requests.size());
+    ASSERT_EQ(fifo.size(), requests.size());
+    ASSERT_LE(offset + requests.size(), want.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const std::string where =
+          std::string(RequestPriorityName(requests[i].priority)) + " batch[" +
+          std::to_string(i) + "] target=" + requests[i].target_id;
+      ExpectSameResponse(got[i], want[offset + i], where, check_flags());
+      ExpectSameResponse(fifo[i], want[offset + i], "fifo " + where,
+                         check_flags());
+    }
+    offset += requests.size();
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, RouterDeterminismTest,
-                         ::testing::Values(1u, 2u, 4u));
+INSTANTIATE_TEST_SUITE_P(
+    ShardsByThreads, RouterDeterminismTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{2}, size_t{4}),
+                       ::testing::Values(size_t{1}, size_t{2}, size_t{4})),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
+      return "shards" + std::to_string(std::get<0>(info.param)) + "_threads" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(BatchKernelWindowTest, WindowedBatchPayloadsMatchUnwindowed) {
   // The window is a scheduling/locality knob only: payloads (and

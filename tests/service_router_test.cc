@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -26,7 +29,6 @@ std::unique_ptr<ShardRouter> MakeRouter(
     std::shared_ptr<const IndexedCorpus> corpus, size_t num_shards,
     RouterOptions options = {}) {
   options.engine.threads = 1;
-  options.router_threads = 1;
   auto router = ShardRouter::Create(std::move(corpus), num_shards,
                                     std::move(options));
   router.status().CheckOK();
@@ -428,6 +430,54 @@ TEST(ShardRouterTest, PrometheusExportLabelsEveryShard) {
   // One family header for the per-shard samples, not one per shard.
   EXPECT_EQ(out.find("# TYPE engine_requests_total counter"),
             out.rfind("# TYPE engine_requests_total counter"));
+}
+
+/// This process's thread count, read once it holds still: a thread
+/// that was just joined can stay listed in /proc/self/task a moment.
+size_t SettledThreadCount() {
+  auto count = [] {
+    size_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  size_t last = count();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    size_t now = count();
+    if (now == last) return now;
+    last = now;
+  }
+  return last;
+}
+
+// One pool per serving process: a router over N in-process shards with
+// engine.threads = T starts exactly T workers — the router's scatter
+// and every shard engine share them — and joins them all when it goes.
+TEST(ShardRouterTest, LocalFleetStartsOnePoolOfEngineThreads) {
+  auto full = MakeCorpus(60);
+  const size_t before = SettledThreadCount();
+  {
+    RouterOptions options;
+    options.engine.threads = 2;
+    auto router = ShardRouter::Create(full, 4, options);
+    ASSERT_TRUE(router.ok()) << router.status();
+    EXPECT_EQ(SettledThreadCount(), before + 2);
+
+    // The shared workers serve a batch spanning every shard.
+    std::vector<SelectRequest> requests;
+    for (const std::string& target : TargetPerShard(*full, *router.value())) {
+      requests.push_back(RequestFor(target));
+    }
+    for (const auto& response : router.value()->SelectBatch(requests)) {
+      EXPECT_TRUE(response.ok()) << response.status();
+    }
+    EXPECT_EQ(SettledThreadCount(), before + 2);
+  }
+  EXPECT_EQ(SettledThreadCount(), before);
 }
 
 }  // namespace

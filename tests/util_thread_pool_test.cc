@@ -196,30 +196,62 @@ TEST(SchedulerTest, BlockedWorkerBacklogIsStolen) {
   EXPECT_GE(pool.steals(), 1u);
 }
 
-// The execution-model nesting rule: tasks running ON the pool may call
-// ParallelFor on the same pool without deadlock (the submitting worker
-// drains the loop itself; queued helpers land on its own deque and are
-// stealable by idle peers).
+// Nested ParallelFor on one pool always finishes (docs/execution-model.md):
+// every caller drains its own loop and waits only on indices that lanes
+// already running have claimed, so tasks running ON the pool may call
+// ParallelFor on the same pool, at any depth and pool size. Queued
+// helpers land on the submitting worker's own deque and are stealable
+// by idle peers. The three-level shape is the serving stack's: router
+// scatter → shard batch (both kBatch) → intra-request fan-out.
 TEST(SchedulerTest, NestedParallelForFromWorkerTasks) {
   constexpr int kOuter = 8;
   constexpr size_t kInner = 200;
-  std::atomic<size_t> total{0};
-  std::atomic<int> outer_done{0};
-  std::mutex mutex;
-  std::condition_variable cv;
-  ThreadPool pool(4);  // Last: joined before the sync state dies.
-  for (int t = 0; t < kOuter; ++t) {
-    pool.Submit([&] {
-      pool.ParallelFor(kInner, [&](size_t i) { total.fetch_add(i + 1); });
-      std::lock_guard<std::mutex> lock(mutex);
-      outer_done.fetch_add(1);
-      cv.notify_all();
-    });
+  constexpr size_t kShards = 4;
+  constexpr size_t kRequests = 4;
+  constexpr size_t kItems = 16;
+  for (size_t workers : {1u, 2u, 4u}) {
+    for (int levels : {2, 3}) {
+      std::atomic<size_t> total{0};
+      std::atomic<int> outer_done{0};
+      std::mutex mutex;
+      std::condition_variable cv;
+      ThreadPool pool(workers);  // Last: joined before the sync state dies.
+      for (int t = 0; t < kOuter; ++t) {
+        pool.Submit([&] {
+          if (levels == 2) {
+            pool.ParallelFor(kInner,
+                             [&](size_t i) { total.fetch_add(i + 1); });
+          } else {
+            pool.ParallelFor(
+                kShards,
+                [&](size_t) {
+                  pool.ParallelFor(
+                      kRequests,
+                      [&](size_t) {
+                        pool.ParallelFor(
+                            kItems, [&](size_t i) { total.fetch_add(i + 1); });
+                      },
+                      0, RequestPriority::kBatch);
+                },
+                0, RequestPriority::kBatch);
+          }
+          std::lock_guard<std::mutex> lock(mutex);
+          outer_done.fetch_add(1);
+          cv.notify_all();
+        });
+      }
+      std::unique_lock<std::mutex> lock(mutex);
+      ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
+                              [&] { return outer_done.load() == kOuter; }))
+          << workers << " workers, " << levels << " levels";
+      size_t want =
+          levels == 2 ? kOuter * (kInner * (kInner + 1)) / 2
+                      : kOuter * kShards * kRequests * (kItems * (kItems + 1)) /
+                            2;
+      EXPECT_EQ(total.load(), want)
+          << workers << " workers, " << levels << " levels";
+    }
   }
-  std::unique_lock<std::mutex> lock(mutex);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
-                          [&] { return outer_done.load() == kOuter; }));
-  EXPECT_EQ(total.load(), kOuter * (kInner * (kInner + 1)) / 2);
 }
 
 // Tasks submitted BY running tasks during destructor drain still run:

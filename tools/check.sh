@@ -19,10 +19,13 @@
 #   tools/check.sh integration-sanitize   # same under ASan+UBSan
 #
 # The tsan phase builds with -fsanitize=thread and runs only the suites
-# that exercise the work-stealing scheduler, the admission pipeline, and
-# the SLO controller — a data race in the deque hand-off or the lever
-# flips fails loudly there; the full suite under TSan would mostly
-# re-run single-threaded solver math at 10x slowdown for no signal.
+# that exercise the work-stealing scheduler, the admission pipeline, the
+# SLO controller, the router, and the RPC transport — where router
+# scatter, shard-server handler threads and the shard engines' shared
+# pool meet. A data race in the deque hand-off, the lever flips or the
+# scatter/gather fails loudly there; the full suite under TSan would
+# mostly re-run single-threaded solver math at 10x slowdown for no
+# signal.
 #
 # The integration phase builds shard_server + the CLI, spawns a real
 # 4-shard fleet of shard_server processes on Unix sockets, proves
@@ -77,7 +80,7 @@ run_tsan() {
   fi
   echo "== [$name] ctest (concurrency suites)"
   if ! ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-      -R 'util_thread_pool_test|core_parallel_determinism_test|service_engine_test|service_intra_parallel_test|service_router_test|service_router_determinism_test|service_slo_test'; then
+      -R 'util_thread_pool_test|core_parallel_determinism_test|service_engine_test|service_intra_parallel_test|service_router_test|service_router_determinism_test|service_slo_test|net_transport_oracle_test'; then
     echo "== check.sh: [$name] tests FAILED" >&2
     exit 4
   fi

@@ -526,8 +526,10 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
     backend.status().CheckOK();
     backends.push_back(std::move(backend).value());
   }
+  // The scatter over remote shards is the only work on this process's
+  // pool, so only its size matters here.
   RouterOptions router_options;
-  router_options.router_threads = static_cast<size_t>(flags.GetInt("threads"));
+  router_options.engine.threads = static_cast<size_t>(flags.GetInt("threads"));
   auto router = ShardRouter::Create(bounds.value(), std::move(backends),
                                     router_options);
   router.status().CheckOK();
@@ -587,7 +589,6 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
 
   RouterOptions router_options;
   FillEngineOptions(flags, &router_options.engine);
-  router_options.router_threads = router_options.engine.threads;
 
   int shards_flag = flags.GetInt("shards");
   if (shards_flag < 1) {
