@@ -3,7 +3,8 @@
 // solvers, and ROUGE scoring.
 //
 // Besides the google-benchmark suite, the binary has a kernel-comparison
-// mode that times the legacy dense solver stack against the sparse
+// mode that times the dense reference solvers (the test-side oracle in
+// tests/oracle/, linked into this bench only) against the sparse
 // Gram/Cholesky core on a Figure-7-style workload and writes the
 // measured ratios as JSON:
 //
@@ -50,6 +51,7 @@
 #include "linalg/nnls.h"
 #include "linalg/nomp.h"
 #include "linalg/qr.h"
+#include "oracle/dense_solvers.h"
 #include "text/rouge.h"
 #include "util/jsonl.h"
 #include "util/parallel.h"

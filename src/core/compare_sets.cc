@@ -12,15 +12,12 @@ namespace comparesets {
 Result<SelectionResult> CompareSetsSelector::Select(
     const InstanceVectors& vectors, const SelectorOptions& options,
     const ExecControl* control) const {
-  SolverOptions solver;
-  if (options.dense_reference_solver) {
-    solver.backend = SolverBackend::kDenseReference;
-  }
+  COMPARESETS_RETURN_NOT_OK(ValidateSelectorOptions(options));
   // Problem 1 decomposes per item: every product's NOMP/rounding run is
   // independent of the others', so fan them out over the request's pool.
   // Each lane builds/fetches its own system (DesignSystemCache locks)
-  // and solves with workspace == nullptr, i.e. its own thread-local
-  // scratch; the index-ordered merge keeps selections bit-identical.
+  // and solves on its own thread-local scratch; the index-ordered merge
+  // keeps selections bit-identical.
   // Each lane writes only its own sampling slot, so the outcome fold
   // below is race-free.
   size_t n = vectors.num_items();
@@ -40,8 +37,7 @@ Result<SelectionResult> CompareSetsSelector::Select(
             auto cost = [&](const Selection& selection) {
               return ItemCost(vectors, i, selection, options.lambda);
             };
-            return SolveIntegerRegression(*system.system, options.m, cost,
-                                          control, solver);
+            return SolveIntegerRegression(*system.system, options.m, cost, control);
           }));
   RecordSpan(control, "compare_sets.items", timer.ElapsedSeconds());
 

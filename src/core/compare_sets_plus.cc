@@ -17,6 +17,7 @@ namespace comparesets {
 Result<SelectionResult> CompareSetsPlusSelector::Select(
     const InstanceVectors& vectors, const SelectorOptions& options,
     const ExecControl* control) const {
+  COMPARESETS_RETURN_NOT_OK(ValidateSelectorOptions(options));
   // Algorithm 1 input: S_1..S_n from solving CompaReSetS per item
   // (itself parallel across items under the same context).
   CompareSetsSelector bootstrap;
@@ -30,11 +31,6 @@ Result<SelectionResult> CompareSetsPlusSelector::Select(
   std::vector<Vector> phis(n);
   for (size_t i = 0; i < n; ++i) {
     phis[i] = vectors.AspectOf(i, state.selections[i]);
-  }
-
-  SolverOptions solver;
-  if (options.dense_reference_solver) {
-    solver.backend = SolverBackend::kDenseReference;
   }
 
   // Sync rounds are the coupling, so they stay sequential; *within* a
@@ -108,8 +104,7 @@ Result<SelectionResult> CompareSetsPlusSelector::Select(
                 }
                 return total;
               };
-              return SolveIntegerRegression(system, options.m, cost, control,
-                                            solver);
+              return SolveIntegerRegression(system, options.m, cost, control);
             }));
 
     // Ordered commit: re-evaluate each proposal against the live φs and

@@ -12,10 +12,7 @@ namespace comparesets {
 Result<SelectionResult> CrsSelector::Select(
     const InstanceVectors& vectors, const SelectorOptions& options,
     const ExecControl* control) const {
-  SolverOptions solver;
-  if (options.dense_reference_solver) {
-    solver.backend = SolverBackend::kDenseReference;
-  }
+  COMPARESETS_RETURN_NOT_OK(ValidateSelectorOptions(options));
   // Each item's characteristic system is independent — fan the solves
   // out over the request's pool; the index-ordered merge keeps parallel
   // selections bit-identical to serial. Each lane writes only its own
@@ -40,8 +37,7 @@ Result<SelectionResult> CrsSelector::Select(
               return SquaredDistance(vectors.tau[i],
                                      vectors.OpinionOf(i, selection));
             };
-            return SolveIntegerRegression(*system.system, options.m, cost,
-                                          control, solver);
+            return SolveIntegerRegression(*system.system, options.m, cost, control);
           }));
   RecordSpan(control, "crs.items", timer.ElapsedSeconds());
 

@@ -10,7 +10,7 @@ namespace comparesets {
 Result<SelectionResult> CompareSetsGreedySelector::Select(
     const InstanceVectors& vectors, const SelectorOptions& options,
     const ExecControl* control) const {
-  if (options.m == 0) return Status::InvalidArgument("m must be >= 1");
+  COMPARESETS_RETURN_NOT_OK(ValidateSelectorOptions(options));
 
   SelectionResult out;
   out.selections.reserve(vectors.num_items());

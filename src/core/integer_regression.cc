@@ -49,9 +49,16 @@ std::vector<int> RoundToIntegerCounts(const Vector& x,
   for (size_t g = 0; g < q; ++g) x_normalized[g] = x[g] / x_sum;
 
   // Try every admissible total t; the normalized L1 criterion is not
-  // monotone in t, so an exhaustive scan over t (m is small) is both
-  // simple and exact given the per-t largest-remainder rounding.
-  for (size_t t = 1; t <= max_total; ++t) {
+  // monotone in t, so an exhaustive scan over t is both simple and exact
+  // given the per-t largest-remainder rounding. Past Σcaps every group
+  // fills to its cap (ν = caps for all t ≥ Σcaps) and the strict `<`
+  // below keeps the first such t, so the scan stops there: a huge
+  // max_total (m arrives on the wire as a u64) costs no more than
+  // max_total = Σcaps.
+  size_t cap_total = 0;
+  for (int cap : caps) cap_total += static_cast<size_t>(std::max(cap, 0));
+  size_t last_total = std::min(max_total, cap_total);
+  for (size_t t = 1; t <= last_total; ++t) {
     std::vector<int> nu(q, 0);
     std::vector<std::pair<double, size_t>> remainders;
     int assigned = 0;
@@ -90,7 +97,7 @@ std::vector<int> RoundToIntegerCounts(const Vector& x,
 
 Result<IntegerRegressionResult> SolveIntegerRegression(
     const DesignSystem& system, size_t m, const TrueCostFn& true_cost,
-    const ExecControl* control, const SolverOptions& solver) {
+    const ExecControl* control) {
   if (m == 0) return Status::InvalidArgument("m must be >= 1");
   if (system.v.cols() == 0) {
     return Status::InvalidArgument("empty design system");
@@ -127,45 +134,24 @@ Result<IntegerRegressionResult> SolveIntegerRegression(
     consider(std::move(candidate));
   };
 
-  // The dense reference path densifies Ṽ once, outside the ℓ loop.
-  bool dense = solver.backend == SolverBackend::kDenseReference;
+  // One pursuit covers every budget: the sweep's per-ℓ snapshots are
+  // bit-identical to per-ℓ SolveNompGram calls (linalg/nomp.h), with
+  // O(max_ell) refits instead of O(max_ell²).
   size_t max_ell = std::min(m, system.v.cols());
-  if (dense) {
-    Matrix dense_v = system.v.ToDense();
-    for (size_t ell = 1; ell <= max_ell; ++ell) {
-      auto nomp = SolveNomp(dense_v, system.target, ell, control);
-      if (!nomp.ok()) {
-        // Deadline/cancellation must surface; a degenerate system at
-        // this ℓ is recoverable — try the other budgets.
-        StatusCode code = nomp.status().code();
-        if (code == StatusCode::kDeadlineExceeded ||
-            code == StatusCode::kCancelled) {
-          return nomp.status();
-        }
-        continue;
-      }
-      round_and_consider(nomp.value());
+  auto sweep = SolveNompGramSweep(system.gram, max_ell, control);
+  if (!sweep.ok()) {
+    StatusCode code = sweep.status().code();
+    if (code == StatusCode::kDeadlineExceeded ||
+        code == StatusCode::kCancelled) {
+      return sweep.status();
     }
+    // Degenerate system: no candidates — the fallback below answers.
   } else {
-    // The Gram path batches all budgets into one pursuit: the sweep's
-    // per-ℓ snapshots are bit-identical to per-ℓ SolveNompGram calls
-    // (linalg/nomp.h), with O(max_ell) refits instead of O(max_ell²).
-    auto sweep =
-        SolveNompGramSweep(system.gram, max_ell, control, solver.workspace);
-    if (!sweep.ok()) {
-      StatusCode code = sweep.status().code();
-      if (code == StatusCode::kDeadlineExceeded ||
-          code == StatusCode::kCancelled) {
-        return sweep.status();
-      }
-      // Degenerate system: no candidates — the fallback below answers.
-    } else {
-      for (const NompResult& nomp : sweep.value()) {
-        // The per-ℓ path crossed a control boundary per budget; keep
-        // that cadence so cancellation between true-cost calls lands.
-        COMPARESETS_RETURN_NOT_OK(CheckExec(control, "integer_regression"));
-        round_and_consider(nomp);
-      }
+    for (const NompResult& nomp : sweep.value()) {
+      // Keep a control boundary per budget so cancellation between
+      // true-cost calls lands.
+      COMPARESETS_RETURN_NOT_OK(CheckExec(control, "integer_regression"));
+      round_and_consider(nomp);
     }
   }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/design_matrix.h"
-#include "linalg/solver_options.h"
 #include "util/cancellation.h"
 #include "util/parallel.h"
 #include "util/status.h"
@@ -37,19 +36,18 @@ std::vector<int> RoundToIntegerCounts(const Vector& x,
 /// `true_cost` is consulted once per distinct rounded candidate.
 /// `control` is checked at each sparsity budget ℓ and inside the NOMP
 /// relaxation; cancellation/deadline aborts with the matching status.
-/// `solver` picks the numeric backend: the sparse Gram/Cholesky path
-/// (default) or the dense reference stack, which densifies the system
-/// once and runs the original NOMP/NNLS/QR kernels.
+/// The relaxations run on the system's sparse Gram/Cholesky core.
 Result<IntegerRegressionResult> SolveIntegerRegression(
     const DesignSystem& system, size_t m, const TrueCostFn& true_cost,
-    const ExecControl* control = nullptr, const SolverOptions& solver = {});
+    const ExecControl* control = nullptr);
 
 /// Fans `n` independent per-item solves out over `parallel` (serial, in
 /// index order, when the context is empty) and merges the results in
 /// index order. `solve_item(i)` must be self-contained: it builds (or
 /// fetches from a thread-safe cache) item i's system and runs
-/// SolveIntegerRegression with `SolverOptions::workspace == nullptr` so
-/// each lane uses its own SolverWorkspace::ThreadLocal().
+/// SolveIntegerRegression, whose solvers draw their scratch from the
+/// running thread's SolverWorkspace::ThreadLocal(), so lanes never share
+/// buffers.
 ///
 /// Determinism contract: every solve_item(i) runs to completion whether
 /// or not a sibling failed, and the merge returns the *lowest-index*

@@ -10,7 +10,7 @@ namespace comparesets {
 Result<SelectionResult> RandomSelector::Select(
     const InstanceVectors& vectors, const SelectorOptions& options,
     const ExecControl* control) const {
-  if (options.m == 0) return Status::InvalidArgument("m must be >= 1");
+  COMPARESETS_RETURN_NOT_OK(ValidateSelectorOptions(options));
   // Mix the seed with the instance's identity-free shape so different
   // instances draw different reviews under the same global seed.
   uint64_t stream = vectors.num_items() * 2654435761u +

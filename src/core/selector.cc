@@ -1,5 +1,6 @@
 #include "core/selector.h"
 
+#include <cmath>
 #include <utility>
 
 #include "core/compare_sets.h"
@@ -28,6 +29,17 @@ Result<QualityTier> ParseQualityTier(const std::string& name) {
   if (name == "exact") return QualityTier::kExact;
   return Status::InvalidArgument("unknown quality tier: '" + name +
                                  "' (want exact, anytime, or sampled)");
+}
+
+Status ValidateSelectorOptions(const SelectorOptions& options) {
+  if (options.m == 0) return Status::InvalidArgument("m must be >= 1");
+  if (!std::isfinite(options.lambda)) {
+    return Status::InvalidArgument("lambda must be finite");
+  }
+  if (!std::isfinite(options.mu)) {
+    return Status::InvalidArgument("mu must be finite");
+  }
+  return Status::OK();
 }
 
 Result<SelectionResult> ReviewSelector::SelectTiered(

@@ -57,11 +57,6 @@ struct SelectorOptions {
   /// single pass (0 reproduces the paper; more sweeps is an extension
   /// that can only improve the objective).
   int extra_sync_rounds = 0;
-  /// Run the Integer-Regression relaxations on the legacy dense
-  /// NOMP/NNLS/QR stack instead of the sparse Gram/Cholesky core. The
-  /// reference implementation the equivalence tests compare against;
-  /// selections are identical either way (up to floating-point ties).
-  bool dense_reference_solver = false;
   /// Intra-request parallelism: the pool (if any) the selector may fan
   /// its independent per-item solves onto, and a lane cap. A *runtime
   /// control* like the deadline — it changes wall-clock, never the
@@ -84,6 +79,12 @@ struct SelectorOptions {
   /// promote the item back to the full (exact) solve.
   size_t sample_size = 0;
 };
+
+/// Rejects options no selector can answer: m == 0, or a non-finite λ
+/// or μ (which would otherwise surface as a NaN objective). Every
+/// selector's Select calls this first, so a bad request fails with the
+/// same kInvalidArgument on every serving path.
+Status ValidateSelectorOptions(const SelectorOptions& options);
 
 struct SelectionResult {
   /// One selection (review indices, sorted) per item; index 0 = target.

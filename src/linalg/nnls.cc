@@ -21,17 +21,6 @@ void CountNonConvergence(const ExecControl* control) {
   }
 }
 
-/// Unconstrained least squares restricted to the passive set P; entries
-/// outside P are zero in the returned full-size vector.
-Result<Vector> SolveOnPassiveSet(const Matrix& a, const Vector& b,
-                                 const std::vector<size_t>& passive) {
-  Matrix sub = a.SelectColumns(passive);
-  COMPARESETS_ASSIGN_OR_RETURN(Vector z, LeastSquares(sub, b));
-  Vector full(a.cols());
-  for (size_t j = 0; j < passive.size(); ++j) full[passive[j]] = z[j];
-  return full;
-}
-
 /// A Gram block seen through an optional column-subset indirection, so
 /// the subset solve never materializes G[vars, vars].
 struct GramView {
@@ -47,9 +36,9 @@ struct GramView {
 
 /// Lawson–Hanson on the normal equations. The passive-set solves run on
 /// an incrementally maintained Cholesky factor of G_PP; if a pivot ever
-/// collapses (linearly dependent passive column — the case the dense
-/// path hands to QR's rank tolerance), the call degrades to QR solves
-/// of the passive Gram block for its remainder, matching the reference
+/// collapses (linearly dependent passive column — the case a dense
+/// textbook solve hands to QR's rank tolerance), the call degrades to QR
+/// solves of the passive Gram block for its remainder, matching the dense
 /// semantics of zeroed free variables in passive-ascending order.
 Result<NnlsResult> SolveNnlsGramImpl(const GramView& g, const double* vty,
                                      double b_norm2,
@@ -227,103 +216,6 @@ Result<NnlsResult> SolveNnlsGramImpl(const GramView& g, const double* vty,
 }
 
 }  // namespace
-
-Result<NnlsResult> SolveNnls(const Matrix& a, const Vector& b,
-                             const NnlsOptions& options) {
-  if (a.rows() == 0 || a.cols() == 0) {
-    return Status::InvalidArgument("NNLS with empty matrix");
-  }
-  if (b.size() != a.rows()) {
-    return Status::InvalidArgument("NNLS rhs size mismatch");
-  }
-  size_t cols = a.cols();
-  // The default cap is computed in size_t: the historical int arithmetic
-  // overflowed for cols > (INT_MAX - 10) / 3.
-  size_t max_iters = options.max_iterations > 0
-                         ? static_cast<size_t>(options.max_iterations)
-                         : 3 * cols + 10;
-
-  Vector x(cols, 0.0);
-  std::vector<bool> in_passive(cols, false);
-  Vector residual = b;  // b - A x, with x = 0 initially.
-  size_t iterations = 0;
-  bool converged = true;
-
-  for (;;) {
-    COMPARESETS_RETURN_NOT_OK(CheckExec(options.control, "nnls"));
-    // Dual w = A^T (b - A x); pick the most positive inactive coordinate.
-    Vector w = a.MultiplyTranspose(residual);
-    double best = options.tolerance;
-    size_t best_j = cols;
-    for (size_t j = 0; j < cols; ++j) {
-      if (!in_passive[j] && w[j] > best) {
-        best = w[j];
-        best_j = j;
-      }
-    }
-    if (best_j == cols) break;  // KKT conditions hold.
-    if (++iterations > max_iters) {
-      converged = false;
-      break;
-    }
-
-    in_passive[best_j] = true;
-
-    for (;;) {
-      std::vector<size_t> passive;
-      for (size_t j = 0; j < cols; ++j) {
-        if (in_passive[j]) passive.push_back(j);
-      }
-      COMPARESETS_ASSIGN_OR_RETURN(Vector z, SolveOnPassiveSet(a, b, passive));
-
-      // If the unconstrained sub-solution is feasible, accept it.
-      bool feasible = true;
-      for (size_t j : passive) {
-        if (z[j] <= 0.0) {
-          feasible = false;
-          break;
-        }
-      }
-      if (feasible) {
-        x = z;
-        break;
-      }
-
-      // Step from x toward z, stopping at the first variable to hit zero,
-      // and move that variable back to the active (zero) set.
-      double alpha = std::numeric_limits<double>::infinity();
-      for (size_t j : passive) {
-        if (z[j] <= 0.0) {
-          double denom = x[j] - z[j];
-          if (denom > 0.0) alpha = std::min(alpha, x[j] / denom);
-        }
-      }
-      if (!std::isfinite(alpha)) alpha = 0.0;
-      for (size_t j : passive) {
-        x[j] += alpha * (z[j] - x[j]);
-        if (x[j] <= options.tolerance) {
-          x[j] = 0.0;
-          in_passive[j] = false;
-        }
-      }
-      // Guard: ensure at least the newly added column survives rounding;
-      // otherwise terminate this inner loop to avoid cycling.
-      bool any_passive = false;
-      for (size_t j = 0; j < cols; ++j) any_passive = any_passive || in_passive[j];
-      if (!any_passive) break;
-    }
-
-    residual = b - a.Multiply(x);
-  }
-
-  NnlsResult out;
-  out.residual_norm = (b - a.Multiply(x)).NormL2();
-  out.x = std::move(x);
-  out.iterations = static_cast<int>(iterations);
-  out.converged = converged;
-  if (!converged) CountNonConvergence(options.control);
-  return out;
-}
 
 Result<NnlsResult> SolveNnlsGram(const Matrix& gram, const Vector& vty,
                                  double b_norm2, const NnlsOptions& options,

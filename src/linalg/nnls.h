@@ -2,13 +2,11 @@
 //   argmin_x ||Ax - b||_2  s.t.  x >= 0.
 //
 // Used inside NOMP to refit the coefficients of the active column set
-// after each atom is added. Two implementations share the options and
-// result types:
-//   * SolveNnls — the dense reference: per inner iteration, copy the
-//     passive columns and QR-solve the rows×k system.
-//   * SolveNnlsGram — the production path: work on the precomputed
-//     normal equations (G = AᵀA, Aᵀb, ‖b‖²), maintaining an incremental
-//     Cholesky factor of G_PP as variables enter/leave the passive set.
+// after each atom is added. The solvers work on the precomputed normal
+// equations (G = AᵀA, Aᵀb, ‖b‖²), maintaining an incremental Cholesky
+// factor of G_PP as variables enter/leave the passive set. (The dense
+// textbook variant, which QR-solves the rows×k passive system per inner
+// iteration, lives on only as a test-side oracle.)
 
 #pragma once
 
@@ -44,12 +42,7 @@ struct NnlsResult {
   bool converged = true;
 };
 
-/// Solves the NNLS problem on a dense matrix. `a` must have rows >= 1
-/// and cols >= 1. The reference implementation.
-Result<NnlsResult> SolveNnls(const Matrix& a, const Vector& b,
-                             const NnlsOptions& options = {});
-
-/// Solves the same problem from its normal equations: `gram` = AᵀA,
+/// Solves the NNLS problem from its normal equations: `gram` = AᵀA,
 /// `vty` = Aᵀb, `b_norm2` = ‖b‖². Never touches A or b, so the cost per
 /// iteration is O(q·k) + O(k²) regardless of A's row count.
 /// `workspace` (nullptr = thread-local) supplies reusable scratch.

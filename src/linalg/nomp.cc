@@ -9,75 +9,6 @@
 
 namespace comparesets {
 
-Result<NompResult> SolveNomp(const Matrix& v, const Vector& target,
-                             size_t ell, const ExecControl* control) {
-  if (v.cols() == 0 || v.rows() == 0) {
-    return Status::InvalidArgument("NOMP with empty matrix");
-  }
-  if (target.size() != v.rows()) {
-    return Status::InvalidArgument("NOMP target size mismatch");
-  }
-  if (ell == 0) {
-    return Status::InvalidArgument("NOMP requires ell >= 1");
-  }
-  ell = std::min(ell, v.cols());
-
-  // Precompute column norms for normalized correlation scoring; an
-  // all-zero column can never reduce the residual and is skipped.
-  std::vector<double> col_norms(v.cols());
-  for (size_t j = 0; j < v.cols(); ++j) {
-    col_norms[j] = v.Column(j).NormL2();
-  }
-
-  NompResult out;
-  out.x = Vector(v.cols(), 0.0);
-  Vector residual = target;
-  std::vector<bool> active(v.cols(), false);
-
-  NnlsOptions refit_options;
-  refit_options.control = control;
-
-  for (size_t step = 0; step < ell; ++step) {
-    COMPARESETS_RETURN_NOT_OK(CheckExec(control, "nomp"));
-    // Score every inactive column by correlation with the residual.
-    Vector correlation = v.MultiplyTranspose(residual);
-    double best = 0.0;
-    size_t best_j = v.cols();
-    for (size_t j = 0; j < v.cols(); ++j) {
-      if (active[j] || col_norms[j] == 0.0) continue;
-      double score = correlation[j] / col_norms[j];
-      if (score > best + 1e-15) {
-        best = score;
-        best_j = j;
-      }
-    }
-    if (best_j == v.cols()) break;  // Nothing helps anymore.
-    active[best_j] = true;
-    out.support.push_back(best_j);
-
-    // Refit all active coefficients jointly (the "orthogonal" step),
-    // with non-negativity enforced.
-    Matrix sub = v.SelectColumns(out.support);
-    COMPARESETS_ASSIGN_OR_RETURN(NnlsResult fit,
-                                 SolveNnls(sub, target, refit_options));
-    Vector x(v.cols(), 0.0);
-    for (size_t t = 0; t < out.support.size(); ++t) {
-      x[out.support[t]] = fit.x[t];
-    }
-    out.x = std::move(x);
-    residual = target - v.Multiply(out.x);
-  }
-
-  // Drop support entries whose refit coefficient collapsed to zero.
-  std::vector<size_t> live;
-  for (size_t j : out.support) {
-    if (out.x[j] > 0.0) live.push_back(j);
-  }
-  out.support = std::move(live);
-  out.residual_norm = residual.NormL2();
-  return out;
-}
-
 Result<NompResult> SolveNompGram(const GramSystem& system, size_t ell,
                                  const ExecControl* control,
                                  SolverWorkspace* workspace) {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "linalg/gram.h"
-#include "linalg/matrix.h"
 #include "linalg/vector.h"
 #include "util/cancellation.h"
 #include "util/status.h"
@@ -33,21 +32,17 @@ struct NompResult {
   double residual_norm;
 };
 
-/// Runs NOMP with at most `ell` atoms. Stops early when no remaining
-/// column has positive correlation with the residual. `control` is
-/// checked at every atom step (and inside the NNLS refit); expiry or
-/// cancellation returns the matching status mid-pursuit.
-Result<NompResult> SolveNomp(const Matrix& v, const Vector& target,
-                             size_t ell,
-                             const ExecControl* control = nullptr);
-
-/// The same pursuit run entirely on a precomputed GramSystem: the
-/// correlation of every column with the residual is Vᵀy − Gx (an O(q·k)
-/// update, independent of the row count), and each refit is a
-/// SolveNnlsGramSubset over the current support with incremental
-/// Cholesky factors. Identical supports/coefficients to SolveNomp up to
-/// floating-point reassociation (enforced by the equivalence tests).
-/// `workspace` (nullptr = thread-local) supplies reusable scratch.
+/// Runs NOMP with at most `ell` atoms on a precomputed GramSystem. Stops
+/// early when no remaining column has positive correlation with the
+/// residual. The correlation of every column with the residual is
+/// Vᵀy − Gx (an O(q·k) update, independent of the row count), and each
+/// refit is a SolveNnlsGramSubset over the current support with
+/// incremental Cholesky factors. Matches the dense textbook pursuit up
+/// to floating-point reassociation (pinned by the equivalence tests
+/// against a test-side dense oracle). `control` is checked at every atom
+/// step (and inside the NNLS refit); expiry or cancellation returns the
+/// matching status mid-pursuit. `workspace` (nullptr = thread-local)
+/// supplies reusable scratch.
 Result<NompResult> SolveNompGram(const GramSystem& system, size_t ell,
                                  const ExecControl* control = nullptr,
                                  SolverWorkspace* workspace = nullptr);

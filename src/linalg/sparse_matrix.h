@@ -5,8 +5,7 @@
 //
 // Columns are append-only (the design-matrix builders emit one column
 // per review group); rows are fixed at construction. A dense seam
-// (FromDense / ToDense) connects to the legacy dense solver stack, which
-// stays available as a reference implementation.
+// (FromDense / ToDense) feeds the test-side dense reference solvers.
 
 #pragma once
 

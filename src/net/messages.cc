@@ -54,7 +54,6 @@ void EncodeSelectorOptionsTo(const SelectorOptions& options,
   writer->WriteDouble(options.mu);
   writer->WriteU64(options.seed);
   writer->WriteI32(options.extra_sync_rounds);
-  writer->WriteBool(options.dense_reference_solver);
   writer->WriteU8(static_cast<uint8_t>(options.min_tier));
   writer->WriteU64(options.sample_threshold);
   writer->WriteU64(options.sample_size);
@@ -68,8 +67,6 @@ Status DecodeSelectorOptionsFrom(WireReader* reader,
   COMPARESETS_ASSIGN_OR_RETURN(options->mu, reader->ReadDouble());
   COMPARESETS_ASSIGN_OR_RETURN(options->seed, reader->ReadU64());
   COMPARESETS_ASSIGN_OR_RETURN(options->extra_sync_rounds, reader->ReadI32());
-  COMPARESETS_ASSIGN_OR_RETURN(options->dense_reference_solver,
-                               reader->ReadBool());
   COMPARESETS_ASSIGN_OR_RETURN(options->min_tier, ReadTier(reader));
   COMPARESETS_ASSIGN_OR_RETURN(uint64_t sample_threshold, reader->ReadU64());
   options->sample_threshold = static_cast<size_t>(sample_threshold);

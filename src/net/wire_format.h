@@ -47,7 +47,9 @@ namespace comparesets {
 ///   v4: request priority — SelectRequest gained a priority class
 ///       (interactive/batch, u8) and RequestTrace gained the effective
 ///       priority string.
-inline constexpr uint16_t kWireVersion = 4;
+///   v5: SelectorOptions lost its solver-backend bool (the library
+///       solves Integer-Regression through one path).
+inline constexpr uint16_t kWireVersion = 5;
 
 /// Frame header magic: "CSRP" (CompareSets RPc).
 inline constexpr uint8_t kFrameMagic[4] = {'C', 'S', 'R', 'P'};

@@ -63,8 +63,6 @@ std::string ResultKey(const std::string& prepare_key,
   key += '\x1f';
   key += std::to_string(request.options.extra_sync_rounds);
   key += '\x1f';
-  key += request.options.dense_reference_solver ? "dense" : "gram";
-  key += '\x1f';
   key += QualityTierName(request.options.min_tier);
   key += '\x1f';
   key += std::to_string(request.options.sample_threshold);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "eval/objective.h"
@@ -75,6 +76,17 @@ TEST(RoundingTest, NormalizedDistanceOptimalOnSmallCase) {
           << "beaten by (" << a << "," << b << ")";
     }
   }
+}
+
+TEST(RoundingTest, HugeBudgetMatchesCapTotal) {
+  // Past Σcaps every group is full, so any larger budget — up to the
+  // largest a wire frame can carry — rounds exactly as Σcaps does (and
+  // returns at once instead of scanning every total).
+  Vector x = {0.55, 0.0, 0.3, 0.15};
+  std::vector<int> caps = {2, 3, 1, 4};
+  std::vector<int> at_cap_total = RoundToIntegerCounts(x, caps, 10);
+  EXPECT_EQ(RoundToIntegerCounts(x, caps, SIZE_MAX), at_cap_total);
+  EXPECT_EQ(RoundToIntegerCounts(x, caps, 11), at_cap_total);
 }
 
 // --- SolveIntegerRegression --------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "core/compare_sets.h"
@@ -181,13 +182,25 @@ TEST_F(SelectorsTest, CrsIgnoresAspectCoverage) {
   EXPECT_NEAR(SquaredDistance(vectors_.tau[0], pi), 0.0, 1e-12);
 }
 
-TEST_F(SelectorsTest, ZeroMRejectedByAllSelectors) {
+TEST_F(SelectorsTest, InvalidOptionsRejectedByAllSelectors) {
+  // m = 0 has no answer; a NaN or infinite λ/μ would otherwise come back
+  // as a NaN objective labelled exact. Every selector refuses each with
+  // the same Status.
+  SelectorOptions zero_m = Options(3);
+  zero_m.m = 0;
+  SelectorOptions nan_lambda = Options(3);
+  nan_lambda.lambda = std::numeric_limits<double>::quiet_NaN();
+  SelectorOptions inf_mu = Options(3);
+  inf_mu.mu = std::numeric_limits<double>::infinity();
   for (const std::string& name : AllSelectorNames()) {
     auto selector = MakeSelector(name);
     ASSERT_TRUE(selector.ok());
-    SelectorOptions options = Options(3);
-    options.m = 0;
-    EXPECT_FALSE(selector.value()->Select(vectors_, options).ok()) << name;
+    for (const SelectorOptions& options : {zero_m, nan_lambda, inf_mu}) {
+      auto result = selector.value()->Select(vectors_, options);
+      ASSERT_FALSE(result.ok()) << name;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
+      EXPECT_TRUE(result.status() == ValidateSelectorOptions(options)) << name;
+    }
   }
 }
 

@@ -1,10 +1,15 @@
 // Randomized property tests pinning the sparse Gram/Cholesky solver
-// path to the legacy dense reference: identical supports and selections,
-// coefficients within 1e-10, on real CRS / CompaReSetS / CompaReSetS+
-// systems. Also covers the non-convergence flag and cancellation landing
-// mid-solve between refits.
+// path to the dense reference oracle (tests/oracle/): identical supports
+// and selections, coefficients within 1e-10, on real CRS / CompaReSetS /
+// CompaReSetS+ systems. The selectors are also pinned to known answers
+// recorded from the dense path. Also covers the non-convergence flag and
+// cancellation landing mid-solve between refits.
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +20,7 @@
 #include "eval/runner.h"
 #include "linalg/nnls.h"
 #include "linalg/nomp.h"
+#include "oracle/dense_solvers.h"
 #include "util/cancellation.h"
 #include "util/rng.h"
 
@@ -140,6 +146,38 @@ TEST(SolverEquivalenceTest, NnlsGramMatchesDenseOnRandomProblems) {
   }
 }
 
+/// The Integer-Regression loop on the dense oracle: per budget ℓ, the
+/// dense NOMP relaxation, then the library's public rounding, then an
+/// argmin of the true cost over the rounded candidates (first minimum
+/// wins, as in SolveIntegerRegression).
+IntegerRegressionResult DenseIntegerRegression(const DesignSystem& system,
+                                               size_t m,
+                                               const TrueCostFn& cost) {
+  IntegerRegressionResult best;
+  best.cost = std::numeric_limits<double>::infinity();
+  Matrix dense = system.v.ToDense();
+  for (size_t ell = 1; ell <= std::min(m, system.v.cols()); ++ell) {
+    auto nomp = SolveNomp(dense, system.target, ell);
+    if (!nomp.ok() || nomp.value().support.empty()) continue;
+    std::vector<int> nu =
+        RoundToIntegerCounts(nomp.value().x, system.dup_counts, m);
+    Selection candidate;
+    for (size_t g = 0; g < nu.size(); ++g) {
+      for (int c = 0; c < nu[g]; ++c) {
+        candidate.push_back(system.group_reviews[g][static_cast<size_t>(c)]);
+      }
+    }
+    if (candidate.empty()) continue;
+    std::sort(candidate.begin(), candidate.end());
+    double candidate_cost = cost(candidate);
+    if (candidate_cost < best.cost) {
+      best.cost = candidate_cost;
+      best.selection = std::move(candidate);
+    }
+  }
+  return best;
+}
+
 TEST(SolverEquivalenceTest, IntegerRegressionBackendsPickIdenticalSelections) {
   Workload workload = SmallWorkload();
   TrueCostFn cost = [](const Selection& selection) {
@@ -147,38 +185,42 @@ TEST(SolverEquivalenceTest, IntegerRegressionBackendsPickIdenticalSelections) {
     for (size_t j : selection) sum += 1.0 / (1.0 + static_cast<double>(j));
     return sum;
   };
-  SolverOptions dense;
-  dense.backend = SolverBackend::kDenseReference;
   for (const InstanceVectors& vectors : workload.vectors()) {
     for (size_t item = 0; item < vectors.num_items(); ++item) {
       DesignSystem system = BuildCompareSetsSystem(vectors, item, 1.0);
       auto gram_run = SolveIntegerRegression(system, 3, cost);
-      auto dense_run = SolveIntegerRegression(system, 3, cost, nullptr, dense);
+      IntegerRegressionResult dense_run = DenseIntegerRegression(system, 3, cost);
       ASSERT_TRUE(gram_run.ok());
-      ASSERT_TRUE(dense_run.ok());
-      EXPECT_EQ(gram_run.value().selection, dense_run.value().selection);
-      EXPECT_DOUBLE_EQ(gram_run.value().cost, dense_run.value().cost);
+      ASSERT_FALSE(dense_run.selection.empty());
+      EXPECT_EQ(gram_run.value().selection, dense_run.selection);
+      EXPECT_DOUBLE_EQ(gram_run.value().cost, dense_run.cost);
     }
   }
 }
 
-TEST(SolverEquivalenceTest, SelectorsMatchAcrossBackends) {
+struct KnownAnswer {
+  const char* selector;
+  size_t instance;
+  double objective;
+  std::vector<Selection> selections;
+};
+
+TEST(SolverEquivalenceTest, SelectorsReproduceKnownAnswers) {
+  const std::vector<KnownAnswer> answers = {
+#include "oracle/small_workload_answers.inc"
+  };
   Workload workload = SmallWorkload();
-  for (const char* name : {"Crs", "CompaReSetS", "CompaReSetS+"}) {
-    auto selector = MakeSelector(name).ValueOrDie();
-    for (const InstanceVectors& vectors : workload.vectors()) {
-      SelectorOptions options;
-      auto gram_run = selector->Select(vectors, options);
-      options.dense_reference_solver = true;
-      auto dense_run = selector->Select(vectors, options);
-      ASSERT_TRUE(gram_run.ok()) << name;
-      ASSERT_TRUE(dense_run.ok()) << name;
-      EXPECT_EQ(gram_run.value().selections, dense_run.value().selections)
-          << name;
-      EXPECT_DOUBLE_EQ(gram_run.value().objective,
-                       dense_run.value().objective)
-          << name;
-    }
+  ASSERT_EQ(answers.size(), 3 * workload.vectors().size());
+  for (const KnownAnswer& answer : answers) {
+    auto selector = MakeSelector(answer.selector).ValueOrDie();
+    ASSERT_LT(answer.instance, workload.vectors().size());
+    auto run = selector->Select(workload.vectors()[answer.instance],
+                                SelectorOptions{});
+    ASSERT_TRUE(run.ok()) << answer.selector << ": " << run.status();
+    std::string where = std::string(answer.selector) + " instance " +
+                        std::to_string(answer.instance);
+    EXPECT_EQ(run.value().selections, answer.selections) << where;
+    EXPECT_EQ(run.value().objective, answer.objective) << where;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/qr.h"
+#include "oracle/dense_solvers.h"
 #include "util/rng.h"
 
 namespace comparesets {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "oracle/dense_solvers.h"
 #include "util/rng.h"
 
 namespace comparesets {

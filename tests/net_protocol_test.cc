@@ -125,19 +125,24 @@ TEST(FrameHeaderTest, VersionMismatchIsInvalidArgument) {
 TEST(FrameHeaderTest, VersionMismatchNamesBothVersions) {
   // Negotiation contract: the refusal names the peer's version AND ours,
   // so an old client's log says exactly which build to upgrade to. A v1
-  // frame is what a pre-tier binary actually sends.
-  std::string frame = EncodeFrame(1, "x");
-  frame[4] = 1;
-  frame[5] = 0;
-  auto header = DecodeFrameHeader(frame);
-  ASSERT_EQ(header.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(header.status().message().find("peer speaks v1"),
-            std::string::npos)
-      << header.status();
-  EXPECT_NE(header.status().message().find(
-                "this build speaks v" + std::to_string(kWireVersion)),
-            std::string::npos)
-      << header.status();
+  // frame is what a pre-tier binary actually sends; a v4 frame is the
+  // previous protocol, whose SelectorOptions carried one more field.
+  ASSERT_EQ(kWireVersion, 5);
+  for (int version : {1, 4}) {
+    std::string frame = EncodeFrame(1, "x");
+    frame[4] = static_cast<char>(version);
+    frame[5] = 0;
+    auto header = DecodeFrameHeader(frame);
+    ASSERT_EQ(header.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(header.status().message().find("peer speaks v" +
+                                             std::to_string(version)),
+              std::string::npos)
+        << header.status();
+    EXPECT_NE(header.status().message().find(
+                  "this build speaks v" + std::to_string(kWireVersion)),
+              std::string::npos)
+        << header.status();
+  }
 }
 
 TEST(FrameHeaderTest, OversizedLengthPrefixIsParseError) {

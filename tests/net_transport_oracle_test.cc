@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -233,6 +234,53 @@ TEST_P(TransportOracleTest, RpcMatchesLocalRouterAndSingleEngine) {
     ExpectSameResponse(got[i], want[i],
                        "rpc batch[" + std::to_string(i) +
                            "] target=" + requests[i].target_id);
+  }
+}
+
+TEST_P(TransportOracleTest, NonFiniteWeightsRefusedIdenticallyOnBothPaths) {
+  // λ = NaN / μ = +inf travel bit-exact as doubles; the shard's selector
+  // must refuse them with the same Status (code AND message) the
+  // in-process router and a single engine return — never a NaN answer.
+  const size_t num_shards = GetParam();
+  auto corpus = MakeCorpus(60);
+  EngineOptions engine_options;
+  engine_options.threads = 1;
+  SelectionEngine reference(corpus, engine_options);
+  RouterOptions router_options;
+  router_options.engine = engine_options;
+  auto local_router = ShardRouter::Create(corpus, num_shards, router_options);
+  ASSERT_TRUE(local_router.ok()) << local_router.status();
+  auto fleet = StartFleet(corpus, num_shards, engine_options,
+                          "nonfinite" + std::to_string(num_shards));
+
+  std::vector<SelectRequest> requests;
+  for (size_t i = 0; i < 2; ++i) {
+    SelectRequest request;
+    request.target_id = corpus->instances()[i].target().id;
+    for (const std::string& selector : AllSelectorNames()) {
+      request.selector = selector;
+      request.options.lambda = std::numeric_limits<double>::quiet_NaN();
+      requests.push_back(request);
+      request.options.lambda = 1.0;
+      request.options.mu = std::numeric_limits<double>::infinity();
+      requests.push_back(request);
+      request.options.mu = 0.1;
+    }
+  }
+  for (const SelectRequest& request : requests) {
+    Result<SelectResponse> want = reference.Select(request);
+    ASSERT_FALSE(want.ok()) << request.selector;
+    EXPECT_EQ(want.status().code(), StatusCode::kInvalidArgument);
+    ExpectSameResponse(local_router.value()->Select(request), want,
+                       "local Select selector=" + request.selector);
+    ExpectSameResponse(fleet->router->Select(request), want,
+                       "rpc Select selector=" + request.selector);
+  }
+  std::vector<Result<SelectResponse>> got = fleet->router->SelectBatch(requests);
+  std::vector<Result<SelectResponse>> want = reference.SelectBatch(requests);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ExpectSameResponse(got[i], want[i], "rpc batch[" + std::to_string(i) + "]");
   }
 }
 

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "eval/runner.h"
@@ -116,14 +119,56 @@ TEST(SelectionEngineTest, RepeatedQueryHitsCacheWithIdenticalResult) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 1u);
 
-  // Same instance but different m: the memo misses (options are part of
-  // its key) while the prepared vectors are reused.
-  request.options.m = 2;
-  auto vector_warm = engine.Select(request);
-  ASSERT_TRUE(vector_warm.ok());
-  EXPECT_TRUE(vector_warm.value().cache_hit);
-  EXPECT_FALSE(vector_warm.value().result_cache_hit);
-  EXPECT_EQ(engine.CacheStats().hits, 1u);
+  // Same instance, one SelectorOptions field changed at a time: the memo
+  // misses (every field is part of its key) while the prepared vectors
+  // are reused.
+  const SelectRequest base = request;
+  std::vector<std::pair<const char*, SelectRequest>> variants;
+  auto vary = [&](const char* field, auto&& mutate) {
+    SelectRequest variant = base;
+    mutate(variant.options);
+    variants.emplace_back(field, std::move(variant));
+  };
+  vary("m", [](SelectorOptions& o) { o.m = 2; });
+  vary("lambda", [](SelectorOptions& o) { o.lambda = 0.5; });
+  vary("mu", [](SelectorOptions& o) { o.mu = 0.25; });
+  vary("seed", [](SelectorOptions& o) { o.seed = 8; });
+  vary("extra_sync_rounds", [](SelectorOptions& o) { o.extra_sync_rounds = 1; });
+  vary("min_tier", [](SelectorOptions& o) { o.min_tier = QualityTier::kAnytime; });
+  vary("sample_threshold", [](SelectorOptions& o) { o.sample_threshold = 1000; });
+  vary("sample_size", [](SelectorOptions& o) { o.sample_size = 1000; });
+  uint64_t vector_hits = engine.CacheStats().hits;
+  for (const auto& [field, variant] : variants) {
+    auto vector_warm = engine.Select(variant);
+    ASSERT_TRUE(vector_warm.ok()) << field << ": " << vector_warm.status();
+    EXPECT_TRUE(vector_warm.value().cache_hit) << field;
+    EXPECT_FALSE(vector_warm.value().result_cache_hit) << field;
+    EXPECT_EQ(engine.CacheStats().hits, ++vector_hits) << field;
+  }
+}
+
+TEST(SelectionEngineTest, HugeBudgetAnswersLikeTheLargestReviewCount) {
+  // m arrives on the wire as a u64; a budget past every item's review
+  // count must answer at once, exactly as the largest count does.
+  auto corpus = MakeCorpus(60);
+  SelectionEngine engine(corpus);
+  const ProblemInstance& instance = corpus->instances()[0];
+  size_t largest = 0;
+  for (size_t i = 0; i < instance.num_items(); ++i) {
+    largest = std::max(largest, instance.items[i]->reviews.size());
+  }
+  for (const char* selector : {"Crs", "CompaReSetS", "CompaReSetS+"}) {
+    SelectRequest huge = RequestFor(*corpus, 0, selector);
+    huge.options.m = SIZE_MAX;
+    SelectRequest bounded = huge;
+    bounded.options.m = largest;
+    auto got = engine.Select(huge);
+    auto want = engine.Select(bounded);
+    ASSERT_TRUE(got.ok()) << selector << ": " << got.status();
+    ASSERT_TRUE(want.ok()) << selector << ": " << want.status();
+    EXPECT_EQ(got.value().selections, want.value().selections) << selector;
+    EXPECT_EQ(got.value().objective, want.value().objective) << selector;
+  }
 }
 
 TEST(SelectionEngineTest, ResultMemoCanBeDisabled) {

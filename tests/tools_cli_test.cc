@@ -328,6 +328,30 @@ TEST(CliTest, ServeSloFlagPrintsControllerSummary) {
       << result.output;
 }
 
+TEST(CliTest, NonFiniteWeightIsAUsageErrorNotANanAnswer) {
+  CommandResult select = RunCli("select --products 40 --lambda nan");
+  EXPECT_EQ(select.exit_code, 2) << select.output;
+  EXPECT_NE(select.output.find("lambda must be finite"), std::string::npos)
+      << select.output;
+  EXPECT_EQ(select.output.find("objective nan"), std::string::npos)
+      << select.output;
+
+  std::string path = ::testing::TempDir() + "/comparesets_cli_nonfinite.txt";
+  {
+    FILE* f = fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fputs("cellphone-P00000\n", f);
+    fclose(f);
+  }
+  CommandResult serve =
+      RunCli("serve --products 40 --threads 1 --mu inf --queries " + path);
+  std::remove(path.c_str());
+  EXPECT_EQ(serve.exit_code, 1) << serve.output;
+  EXPECT_NE(serve.output.find("mu must be finite"), std::string::npos)
+      << serve.output;
+  EXPECT_NE(serve.output.find("(1 failed)"), std::string::npos) << serve.output;
+}
+
 TEST(CliTest, HelpListsFlags) {
   CommandResult result = RunCli("select --help");
   EXPECT_EQ(result.exit_code, 0);

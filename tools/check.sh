@@ -17,6 +17,7 @@
 #   tools/check.sh tsan       # ThreadSanitizer, concurrency-heavy suites
 #   tools/check.sh integration            # RPC serving stack, Release
 #   tools/check.sh integration-sanitize   # same under ASan+UBSan
+#   tools/check.sh tables     # paper tables regenerate byte-identical
 #
 # The tsan phase builds with -fsanitize=thread and runs only the suites
 # that exercise the work-stealing scheduler, the admission pipeline, the
@@ -34,6 +35,14 @@
 # ctests (which manage their own servers). The fleet is torn down by an
 # EXIT trap, so a failing leg never leaks processes or socket files.
 # The regular ctest legs run with -LE integration.
+#
+# The tables phase builds the Table 3-6 paper-reproduction benches
+# (Release), runs each with its default arguments into a scratch
+# directory, and cmp's every CSV against the committed copy in
+# results/. A change to the production solve path that moves any
+# published figure fails here; regenerate the tables (and the
+# EXPERIMENTS.md figures they feed) in the same change. Table 3 runs
+# about 90 s on a 4-core host.
 #
 # JOBS=N overrides the build/test parallelism (default: nproc).
 # Each phase failure names the configuration and phase that failed and
@@ -181,12 +190,52 @@ run_integration() {
   trap - EXIT INT TERM
 }
 
+TABLE_BENCHES="table3_alignment table4_opinion_definitions
+table5_targethks_ratio table6_core_list"
+
+run_tables() {
+  name="$1"; dir="$2"; shift 2
+  echo "== [$name] configure"
+  if ! cmake -B "$dir" -S . "$@"; then
+    echo "== check.sh: [$name] configure FAILED" >&2
+    exit 2
+  fi
+  echo "== [$name] build"
+  if ! cmake --build "$dir" -j "$JOBS" --target $TABLE_BENCHES; then
+    echo "== check.sh: [$name] build FAILED" >&2
+    exit 3
+  fi
+  out="${TMPDIR:-/tmp}/comparesets-tables-$$"
+  rm -rf "$out"
+  mkdir -p "$out"
+  stale=""
+  for bench in $TABLE_BENCHES; do
+    echo "== [$name] $bench (default arguments)"
+    if ! "$dir/bench/$bench" --outdir "$out" > "$out/$bench.log" 2>&1; then
+      cat "$out/$bench.log" >&2
+      rm -rf "$out"
+      echo "== check.sh: [$name] $bench FAILED" >&2
+      exit 4
+    fi
+    if ! cmp -s "$out/$bench.csv" "results/$bench.csv"; then
+      diff "results/$bench.csv" "$out/$bench.csv" >&2 || true
+      stale="$stale $bench.csv"
+    fi
+  done
+  rm -rf "$out"
+  if [ -n "$stale" ]; then
+    echo "== check.sh: [$name] STALE TABLES (results/ differs):$stale" >&2
+    exit 4
+  fi
+  echo "== [$name] every table regenerates byte-identical"
+}
+
 want="${1:-all}"
 case "$want" in
-  all|release|sanitize|tsan|integration|integration-sanitize) ;;
+  all|release|sanitize|tsan|integration|integration-sanitize|tables) ;;
   *)
     echo "usage: tools/check.sh" \
-        "[all|release|sanitize|tsan|integration|integration-sanitize]" >&2
+        "[all|release|sanitize|tsan|integration|integration-sanitize|tables]" >&2
     exit 64
     ;;
 esac
@@ -208,5 +257,8 @@ fi
 if [ "$want" = "all" ] || [ "$want" = "integration-sanitize" ]; then
   run_integration integration-sanitize build-sanitize \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCOMPARESETS_SANITIZE=ON
+fi
+if [ "$want" = "all" ] || [ "$want" = "tables" ]; then
+  run_tables tables build -DCMAKE_BUILD_TYPE=Release
 fi
 echo "== check.sh: all requested configurations green"

@@ -163,7 +163,10 @@ int RunSelect(const FlagParser& flags, bool narrow) {
   auto selector = MakeSelector(flags.GetString("algorithm"));
   selector.status().CheckOK();
   auto result = selector.value()->Select(vectors, options);
-  result.status().CheckOK();
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return 2;
+  }
 
   std::printf("Target %s with %zu comparative products; %s selected up to "
               "%zu reviews per product (Eq. 5 objective %.4f).\n",
