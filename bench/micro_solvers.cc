@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot kernels: least squares,
 // NNLS, NOMP, integer rounding, the end-to-end selectors, TargetHkS
-// solvers, and ROUGE scoring.
+// solvers, and review-alignment (ROUGE) measurement.
 //
 // Besides the google-benchmark suite, the binary has a kernel-comparison
 // mode that times the dense reference solvers (the test-side oracle in
@@ -43,6 +43,7 @@
 #include "core/design_matrix.h"
 #include "core/integer_regression.h"
 #include "data/synthetic.h"
+#include "eval/alignment.h"
 #include "eval/runner.h"
 #include "graph/targethks_exact.h"
 #include "graph/targethks_greedy.h"
@@ -52,7 +53,6 @@
 #include "linalg/nomp.h"
 #include "linalg/qr.h"
 #include "oracle/dense_solvers.h"
-#include "text/rouge.h"
 #include "util/jsonl.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -242,26 +242,26 @@ void BM_TargetHksGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_TargetHksGreedy)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
 
-void BM_RougePair(benchmark::State& state) {
-  const Product& product = *BenchWorkload().instances()[0].items[0];
-  RougeDocument a(product.reviews[0].text);
-  RougeDocument b(product.reviews[1].text);
+/// Alignment of one CompaReSetS+ answer, as the serving engine measures
+/// it on a memo miss: tokenize, intern, and score every cross-item pair.
+void BM_MeasureAlignment(benchmark::State& state) {
+  const Workload& workload = BenchWorkload();
+  SelectorOptions options;
+  options.m = static_cast<size_t>(state.range(0));
+  auto selected =
+      CompareSetsPlusSelector().Select(workload.vectors()[0], options);
+  selected.status().CheckOK();
+  const ProblemInstance& instance = workload.instances()[0];
+  size_t pairs = 0;
   for (auto _ : state) {
-    RougeTriple scores = a.ScoreAgainst(b);
+    AlignmentScores scores =
+        MeasureAlignment(instance, selected.value().selections);
+    pairs = scores.among_pairs;
     benchmark::DoNotOptimize(scores);
   }
+  state.counters["pairs"] = static_cast<double>(pairs);
 }
-BENCHMARK(BM_RougePair);
-
-void BM_RougeDocumentConstruction(benchmark::State& state) {
-  const Product& product = *BenchWorkload().instances()[0].items[0];
-  const std::string& text = product.reviews[0].text;
-  for (auto _ : state) {
-    RougeDocument doc(text);
-    benchmark::DoNotOptimize(doc);
-  }
-}
-BENCHMARK(BM_RougeDocumentConstruction);
+BENCHMARK(BM_MeasureAlignment)->Arg(3)->Arg(10);
 
 void BM_BuildInstanceVectors(benchmark::State& state) {
   const Workload& workload = BenchWorkload();

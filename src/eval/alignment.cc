@@ -1,30 +1,29 @@
 #include "eval/alignment.h"
 
 #include <numeric>
+#include <utility>
 
+#include "text/tokenizer.h"
 #include "util/logging.h"
 
 namespace comparesets {
 
 namespace {
 
-RougeTriple MeanF1(const std::vector<RougeTriple>& scores) {
-  RougeTriple mean;
-  if (scores.empty()) return mean;
-  for (const RougeTriple& s : scores) mean += s;
-  mean /= static_cast<double>(scores.size());
-  return mean;
-}
-
-/// Symmetrized pair score: averaging F1(a→b) and F1(b→a). F1 of ROUGE-1/L
-/// is already symmetric; ROUGE-2 likewise; the average keeps this robust
-/// to any asymmetric variant added later.
-RougeTriple PairScore(const RougeDocument& a, const RougeDocument& b) {
-  RougeTriple forward = a.ScoreAgainst(b);
-  RougeTriple backward = b.ScoreAgainst(a);
-  forward += backward;
-  forward /= 2.0;
-  return forward;
+/// Symmetrized pair score: the mean of the triples of a→b and b→a. The
+/// backward triple shares the forward one's integer overlaps, so its
+/// precision and recall are the forward recall and precision, and its
+/// F1 is bitwise the forward F1 (IEEE + and × commute). Deriving it by
+/// the swap therefore reproduces scoring both directions exactly.
+RougeTriple PairScore(const RougeTriple& forward) {
+  RougeTriple backward = forward;
+  for (RougeScore* s : {&backward.rouge1, &backward.rouge2, &backward.rougeL}) {
+    std::swap(s->precision, s->recall);
+  }
+  RougeTriple pair = forward;
+  pair += backward;
+  pair /= 2.0;
+  return pair;
 }
 
 }  // namespace
@@ -35,8 +34,12 @@ AlignmentScores MeasureAlignmentSubset(const ProblemInstance& instance,
   COMPARESETS_CHECK(selections.size() == instance.num_items())
       << "selection count mismatch";
 
-  // Pre-tokenize every selected review once.
-  std::vector<std::vector<RougeDocument>> docs(items.size());
+  // Tokenize every selected review once and intern its tokens. The ids
+  // are consistent within this call only, which is all ROUGE needs: its
+  // counts depend on token equality alone.
+  TokenInterner interner;
+  std::vector<InternedDocument> docs;
+  std::vector<size_t> first_doc(items.size() + 1, 0);
   for (size_t t = 0; t < items.size(); ++t) {
     size_t item = items[t];
     COMPARESETS_CHECK(item < instance.num_items()) << "item out of range";
@@ -44,31 +47,40 @@ AlignmentScores MeasureAlignmentSubset(const ProblemInstance& instance,
     for (size_t review_index : selections[item]) {
       COMPARESETS_CHECK(review_index < product.reviews.size())
           << "review index out of range";
-      docs[t].emplace_back(product.reviews[review_index].text);
+      docs.emplace_back(
+          interner.Intern(Tokenize(product.reviews[review_index].text)));
     }
+    first_doc[t + 1] = docs.size();
   }
 
-  std::vector<RougeTriple> target_scores;
-  std::vector<RougeTriple> among_scores;
+  // Each unordered pair is scored once. The two sums accumulate in pair
+  // order (item a, item b > a, a's reviews, b's reviews) and are divided
+  // by the pair count once: the mean of the per-pair triples, bit for
+  // bit.
+  RowIndex index(interner.size());
+  AlignmentScores out;
   for (size_t a = 0; a < items.size(); ++a) {
     for (size_t b = a + 1; b < items.size(); ++b) {
-      for (const RougeDocument& da : docs[a]) {
-        for (const RougeDocument& db : docs[b]) {
-          RougeTriple score = PairScore(da, db);
-          among_scores.push_back(score);
-          if (items[a] == 0 || items[b] == 0) {
-            target_scores.push_back(score);
+      const bool with_target = items[a] == 0 || items[b] == 0;
+      for (size_t i = first_doc[a]; i < first_doc[a + 1]; ++i) {
+        for (size_t j = first_doc[b]; j < first_doc[b + 1]; ++j) {
+          RougeTriple score = PairScore(ScoreAgainst(docs[i], docs[j], index));
+          out.among_items += score;
+          ++out.among_pairs;
+          if (with_target) {
+            out.target_vs_comparative += score;
+            ++out.target_pairs;
           }
         }
       }
     }
   }
-
-  AlignmentScores out;
-  out.target_vs_comparative = MeanF1(target_scores);
-  out.among_items = MeanF1(among_scores);
-  out.target_pairs = target_scores.size();
-  out.among_pairs = among_scores.size();
+  if (out.target_pairs > 0) {
+    out.target_vs_comparative /= static_cast<double>(out.target_pairs);
+  }
+  if (out.among_pairs > 0) {
+    out.among_items /= static_cast<double>(out.among_pairs);
+  }
   return out;
 }
 

@@ -275,25 +275,9 @@ Result<SelectResponse> SelectionEngine::SelectAttempt(
   if (!solved.ok()) return solved.status();
   metrics_.histogram("engine.solve_seconds").Observe(solve_seconds);
 
-  SelectResponse response;
-  response.target_id = bundle.instance.target().id;
-  response.item_ids.reserve(bundle.instance.num_items());
-  for (const Product* item : bundle.instance.items) {
-    response.item_ids.push_back(item->id);
-  }
-  response.selections = std::move(solved.value().selections);
-  response.objective = solved.value().objective;
-  response.tier = solved.value().tier;
-  response.objective_gap = solved.value().objective_gap;
-  trace->tier = QualityTierName(response.tier);
-  trace->objective_gap = response.objective_gap;
-  if (options_.measure_alignment) {
-    response.alignment =
-        MeasureAlignment(bundle.instance, response.selections);
-  }
-  response.cache_hit = cache_hit;
-  response.prepare_seconds = prepare_seconds;
-  response.solve_seconds = solve_seconds;
+  SelectResponse response =
+      AssembleResponse(bundle, std::move(solved.value()), cache_hit,
+                       prepare_seconds, solve_seconds, trace);
   // The memoized copy keeps a default trace: a later memo hit gets a
   // fresh trace for ITS lifecycle, never the solving request's.
   // kAnytime answers are never stored: they depend on the deadline, a
@@ -341,26 +325,40 @@ Result<SelectResponse> SelectionEngine::DegradedAttempt(
   if (!solved.ok()) return solved.status();
   metrics_.histogram("engine.solve_seconds").Observe(solve_seconds);
 
+  SelectionResult degraded = std::move(solved.value());
+  degraded.tier = QualityTier::kAnytime;
+  degraded.objective_gap = 0.0;
+  // Deliberately not memoized: this answer reflects load, not the key.
+  return AssembleResponse(bundle, std::move(degraded), cache_hit,
+                          prepare_seconds, solve_seconds, trace);
+}
+
+SelectResponse SelectionEngine::AssembleResponse(
+    const PreparedInstance& bundle, SelectionResult solved, bool cache_hit,
+    double prepare_seconds, double solve_seconds, RequestTrace* trace) const {
   SelectResponse response;
   response.target_id = bundle.instance.target().id;
   response.item_ids.reserve(bundle.instance.num_items());
   for (const Product* item : bundle.instance.items) {
     response.item_ids.push_back(item->id);
   }
-  response.selections = std::move(solved.value().selections);
-  response.objective = solved.value().objective;
-  response.tier = QualityTier::kAnytime;
-  response.objective_gap = 0.0;
+  response.selections = std::move(solved.selections);
+  response.objective = solved.objective;
+  response.tier = solved.tier;
+  response.objective_gap = solved.objective_gap;
   trace->tier = QualityTierName(response.tier);
   trace->objective_gap = response.objective_gap;
   if (options_.measure_alignment) {
+    // A histogram, not a trace span: spans are summed as solver time.
+    Timer alignment_timer;
     response.alignment =
         MeasureAlignment(bundle.instance, response.selections);
+    metrics_.histogram("engine.alignment_seconds")
+        .Observe(alignment_timer.ElapsedSeconds());
   }
   response.cache_hit = cache_hit;
   response.prepare_seconds = prepare_seconds;
   response.solve_seconds = solve_seconds;
-  // Deliberately not memoized: this answer reflects load, not the key.
   return response;
 }
 

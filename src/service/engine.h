@@ -346,6 +346,15 @@ class SelectionEngine {
       const ExecControl& control, const ParallelContext& parallel,
       RequestTrace* trace) const;
 
+  /// The answer of one solve over `bundle`: ids, selections, objective
+  /// and tier, the alignment when measure_alignment is on (timed into
+  /// engine.alignment_seconds), and the cache flag and stage timings.
+  SelectResponse AssembleResponse(const PreparedInstance& bundle,
+                                  SelectionResult solved, bool cache_hit,
+                                  double prepare_seconds,
+                                  double solve_seconds,
+                                  RequestTrace* trace) const;
+
   /// Records the trace and error counters of a failed request.
   Status FinishError(RequestTrace trace, Status status,
                      const Timer& total) const;

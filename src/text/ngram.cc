@@ -4,36 +4,20 @@
 
 namespace comparesets {
 
-NgramCounts CountNgrams(const std::vector<std::string>& tokens, size_t n) {
-  NgramCounts counts;
-  if (n == 0 || tokens.size() < n) return counts;
-  for (size_t i = 0; i + n <= tokens.size(); ++i) {
-    std::string key = tokens[i];
-    for (size_t j = 1; j < n; ++j) {
-      key.push_back('\x1f');
-      key += tokens[i + j];
-    }
-    ++counts[key];
+GramCounts<uint64_t> CountBigrams(std::span<const uint32_t> ids) {
+  std::vector<uint64_t> keys;
+  if (ids.size() >= 2) keys.reserve(ids.size() - 1);
+  for (size_t i = 0; i + 1 < ids.size(); ++i) {
+    keys.push_back((static_cast<uint64_t>(ids[i]) << 32) | ids[i + 1]);
+  }
+  // Sort, then collapse each run of equal keys into one count.
+  std::sort(keys.begin(), keys.end());
+  GramCounts<uint64_t> counts;
+  for (uint64_t key : keys) {
+    if (counts.empty() || counts.back().gram != key) counts.push_back({key, 0});
+    ++counts.back().count;
   }
   return counts;
-}
-
-int ClippedOverlap(const NgramCounts& a, const NgramCounts& b) {
-  // Iterate over the smaller map for speed.
-  const NgramCounts& small = a.size() <= b.size() ? a : b;
-  const NgramCounts& large = a.size() <= b.size() ? b : a;
-  int overlap = 0;
-  for (const auto& [gram, count] : small) {
-    auto it = large.find(gram);
-    if (it != large.end()) overlap += std::min(count, it->second);
-  }
-  return overlap;
-}
-
-int TotalCount(const NgramCounts& counts) {
-  int total = 0;
-  for (const auto& [gram, count] : counts) total += count;
-  return total;
 }
 
 }  // namespace comparesets

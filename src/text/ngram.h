@@ -1,25 +1,29 @@
-// N-gram multiset extraction for ROUGE-N.
+// N-gram multisets over interned token ids, for ROUGE-N.
+//
+// A multiset is a vector of distinct grams sorted ascending, each with
+// its count (the sorted-integer-set idiom of Kaldi's SortAndUniq).
 
 #pragma once
 
-#include <string>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace comparesets {
 
-/// Multiset of n-grams: joined-token key -> count.
-using NgramCounts = std::unordered_map<std::string, int>;
+/// One distinct gram and its multiplicity. Unigram keys are token ids;
+/// bigram keys pack two ids as (first << 32) | second, so two distinct
+/// bigrams never share a key.
+template <typename Key>
+struct GramCount {
+  Key gram;
+  int count;
+};
 
-/// Extracts order-n n-grams from a token sequence. Tokens are joined
-/// with '\x1f' so that multi-token grams cannot collide with each other.
-NgramCounts CountNgrams(const std::vector<std::string>& tokens, size_t n);
+/// Sorted by gram, ascending; grams are distinct.
+template <typename Key>
+using GramCounts = std::vector<GramCount<Key>>;
 
-/// Size of the clipped intersection of two n-gram multisets
-/// (Σ_g min(a[g], b[g])) — the ROUGE-N overlap numerator.
-int ClippedOverlap(const NgramCounts& a, const NgramCounts& b);
-
-/// Total count in a multiset.
-int TotalCount(const NgramCounts& counts);
+GramCounts<uint64_t> CountBigrams(std::span<const uint32_t> ids);
 
 }  // namespace comparesets

@@ -1,6 +1,8 @@
 #include "text/rouge.h"
 
-#include "text/lcs.h"
+#include <algorithm>
+#include <utility>
+
 #include "text/tokenizer.h"
 
 namespace comparesets {
@@ -48,45 +50,43 @@ RougeTriple& RougeTriple::operator/=(double denom) {
   return *this;
 }
 
-RougeDocument::RougeDocument(std::string_view text)
-    : tokens_(Tokenize(text)),
-      unigrams_(CountNgrams(tokens_, 1)),
-      bigrams_(CountNgrams(tokens_, 2)) {}
+InternedDocument::InternedDocument(std::vector<uint32_t> ids)
+    : ids_(std::move(ids)), rows_(ids_), bigrams_(CountBigrams(ids_)) {}
 
-RougeTriple RougeDocument::ScoreAgainst(const RougeDocument& reference) const {
+RougeTriple ScoreAgainst(const InternedDocument& candidate,
+                         const InternedDocument& reference, RowIndex& index) {
+  index.Bind(candidate.rows());
+  const int candidate_total = static_cast<int>(candidate.ids().size());
+  const int reference_total = static_cast<int>(reference.ids().size());
   RougeTriple out;
-  out.rouge1 =
-      FromCounts(ClippedOverlap(unigrams_, reference.unigrams_),
-                 static_cast<int>(tokens_.size()),
-                 static_cast<int>(reference.tokens_.size()));
-  int bigram_candidate = tokens_.size() >= 2
-                             ? static_cast<int>(tokens_.size()) - 1
-                             : 0;
-  int bigram_reference = reference.tokens_.size() >= 2
-                             ? static_cast<int>(reference.tokens_.size()) - 1
-                             : 0;
-  out.rouge2 = FromCounts(ClippedOverlap(bigrams_, reference.bigrams_),
-                          bigram_candidate, bigram_reference);
-  int lcs = static_cast<int>(LcsLength(tokens_, reference.tokens_));
-  out.rougeL = FromCounts(lcs, static_cast<int>(tokens_.size()),
-                          static_cast<int>(reference.tokens_.size()));
+  out.rouge1 = FromCounts(index.UnigramOverlap(reference.unigrams()),
+                          candidate_total, reference_total);
+  out.rouge2 = FromCounts(index.BigramOverlap(reference.bigrams()),
+                          std::max(candidate_total - 1, 0),
+                          std::max(reference_total - 1, 0));
+  out.rougeL = FromCounts(static_cast<int>(index.LcsLength(reference.ids())),
+                          candidate_total, reference_total);
   return out;
 }
 
 RougeScore Rouge1(std::string_view candidate, std::string_view reference) {
-  return RougeDocument(candidate).ScoreAgainst(RougeDocument(reference)).rouge1;
+  return RougeAll(candidate, reference).rouge1;
 }
 
 RougeScore Rouge2(std::string_view candidate, std::string_view reference) {
-  return RougeDocument(candidate).ScoreAgainst(RougeDocument(reference)).rouge2;
+  return RougeAll(candidate, reference).rouge2;
 }
 
 RougeScore RougeL(std::string_view candidate, std::string_view reference) {
-  return RougeDocument(candidate).ScoreAgainst(RougeDocument(reference)).rougeL;
+  return RougeAll(candidate, reference).rougeL;
 }
 
 RougeTriple RougeAll(std::string_view candidate, std::string_view reference) {
-  return RougeDocument(candidate).ScoreAgainst(RougeDocument(reference));
+  TokenInterner interner;
+  InternedDocument a(interner.Intern(Tokenize(candidate)));
+  InternedDocument b(interner.Intern(Tokenize(reference)));
+  RowIndex index(interner.size());
+  return ScoreAgainst(a, b, index);
 }
 
 }  // namespace comparesets

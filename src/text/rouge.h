@@ -7,10 +7,12 @@
 
 #pragma once
 
-#include <string>
+#include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
+#include "text/match_rows.h"
 #include "text/ngram.h"
 
 namespace comparesets {
@@ -32,24 +34,30 @@ struct RougeTriple {
   RougeTriple& operator/=(double denom);
 };
 
-/// Pre-tokenized document with cached n-gram multisets, for repeated
-/// scoring (amortizes preprocessing across the O(pairs) alignment pass).
-class RougeDocument {
+/// One tokenized document ready for repeated ROUGE scoring within one
+/// call: its token ids, its match rows (which carry its unigram
+/// multiset) and its bigram multiset. Documents scored against each
+/// other must take their ids from one TokenInterner.
+class InternedDocument {
  public:
-  explicit RougeDocument(std::string_view text);
+  explicit InternedDocument(std::vector<uint32_t> ids);
 
-  const std::vector<std::string>& tokens() const { return tokens_; }
-  const NgramCounts& unigrams() const { return unigrams_; }
-  const NgramCounts& bigrams() const { return bigrams_; }
-
-  /// Scores this document as candidate against `reference`.
-  RougeTriple ScoreAgainst(const RougeDocument& reference) const;
+  std::span<const uint32_t> ids() const { return ids_; }
+  const MatchRows& rows() const { return rows_; }
+  const GramCounts<uint32_t>& unigrams() const { return rows_.unigrams(); }
+  const GramCounts<uint64_t>& bigrams() const { return bigrams_; }
 
  private:
-  std::vector<std::string> tokens_;
-  NgramCounts unigrams_;
-  NgramCounts bigrams_;
+  std::vector<uint32_t> ids_;
+  MatchRows rows_;
+  GramCounts<uint64_t> bigrams_;
 };
+
+/// Scores `candidate` against `reference`. `index` (sized to the ids'
+/// vocabulary) is bound to the candidate's rows unless it already is,
+/// so scoring one candidate against many references binds it once.
+RougeTriple ScoreAgainst(const InternedDocument& candidate,
+                         const InternedDocument& reference, RowIndex& index);
 
 /// Convenience helpers over raw strings (candidate scored vs reference).
 RougeScore Rouge1(std::string_view candidate, std::string_view reference);

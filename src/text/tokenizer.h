@@ -1,12 +1,15 @@
 // Word tokenizer used for ROUGE scoring and aspect extraction.
 //
 // Mirrors the standard ROUGE preprocessing: lowercase, split on
-// non-alphanumeric characters, keep pure-number tokens. No stemming by
+// non-alphanumeric characters, keep pure-number tokens. Characters are
+// classified as ASCII whatever the process locale (bytes >= 0x80 are
+// separators, as in the "C" locale). No stemming by
 // default (an optional light suffix stripper is provided for the aspect
 // extractor, which benefits from conflating plurals).
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +28,28 @@ struct TokenizerOptions {
 /// Splits text into word tokens.
 std::vector<std::string> Tokenize(std::string_view text,
                                   const TokenizerOptions& options = {});
+
+/// Maps tokens to dense ids 0, 1, 2, ... in first-seen order. ROUGE
+/// counts depend only on token equality, so ids need only be consistent
+/// among the documents one interner saw: scoring interns per call and
+/// drops the dictionary with it.
+class TokenInterner {
+ public:
+  uint32_t Intern(std::string_view token);
+  std::vector<uint32_t> Intern(const std::vector<std::string>& tokens);
+
+  /// Number of distinct tokens seen; every id is below it.
+  size_t size() const { return tokens_.size(); }
+
+ private:
+  /// Doubles the slot table and re-inserts every id.
+  void Grow();
+
+  std::vector<std::string> tokens_;  ///< id -> token.
+  /// Open-addressing hash table, linear probing, at most half full: each
+  /// slot holds id + 1, or 0 when empty. Its size is a power of two.
+  std::vector<uint32_t> slots_;
+};
 
 /// Light suffix stripper used when TokenizerOptions::light_stem is set.
 std::string LightStem(const std::string& token);

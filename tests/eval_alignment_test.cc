@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
+#include "core/selector.h"
 #include "eval/information_loss.h"
+#include "eval/runner.h"
+#include "oracle/string_rouge.h"
 #include "test_fixtures.h"
 
 namespace comparesets {
@@ -101,6 +105,124 @@ TEST_F(AlignmentTest, IdenticalTextEverywhereScoresOne) {
   AlignmentScores scores = MeasureAlignment(instance, {{0, 1}, {0, 1}});
   EXPECT_DOUBLE_EQ(scores.among_items.rouge1.f1, 1.0);
   EXPECT_DOUBLE_EQ(scores.among_items.rougeL.f1, 1.0);
+}
+
+// --- Bit identity with the string-keyed oracle ------------------------------
+
+void ExpectBitIdentical(const AlignmentScores& fast,
+                        const AlignmentScores& oracle, const char* label) {
+  EXPECT_EQ(fast.target_pairs, oracle.target_pairs) << label;
+  EXPECT_EQ(fast.among_pairs, oracle.among_pairs) << label;
+  EXPECT_EQ(std::memcmp(&fast, &oracle, sizeof(AlignmentScores)), 0)
+      << label << ": among R-L " << fast.among_items.rougeL.f1 << " vs "
+      << oracle.among_items.rougeL.f1;
+}
+
+/// Selects with CompaReSetS+ at each m on every instance of `workload`
+/// and compares full and core-list alignment with the oracle's.
+void ExpectWorkloadMatchesOracle(const Workload& workload) {
+  auto selector = MakeSelector("CompaReSetS+");
+  ASSERT_TRUE(selector.ok());
+  for (size_t m : {1u, 3u, 10u}) {
+    SelectorOptions options;
+    options.m = m;
+    auto run = RunSelector(*selector.value(), workload, options);
+    ASSERT_TRUE(run.ok()) << run.status();
+    for (size_t i = 0; i < workload.num_instances(); ++i) {
+      const ProblemInstance& instance = workload.instances()[i];
+      const std::vector<Selection>& selections =
+          run.value().results[i].selections;
+      SCOPED_TRACE(::testing::Message() << "m " << m << " instance " << i);
+      ExpectBitIdentical(MeasureAlignment(instance, selections),
+                         oracle::MeasureAlignment(instance, selections),
+                         "all items");
+      // Core lists with the target and without it.
+      std::vector<size_t> with_target;
+      std::vector<size_t> without_target;
+      for (size_t v = 0; v < instance.num_items(); v += 2) {
+        with_target.push_back(v);
+        if (v + 1 < instance.num_items()) without_target.push_back(v + 1);
+      }
+      ExpectBitIdentical(
+          MeasureAlignmentSubset(instance, selections, with_target),
+          oracle::MeasureAlignmentSubset(instance, selections, with_target),
+          "core list with item 0");
+      ExpectBitIdentical(
+          MeasureAlignmentSubset(instance, selections, without_target),
+          oracle::MeasureAlignmentSubset(instance, selections,
+                                         without_target),
+          "core list without item 0");
+    }
+  }
+}
+
+TEST(AlignmentOracleTest, SmallWorkloadMatchesOracleBitForBit) {
+  RunnerConfig config;
+  config.category = "Cellphone";
+  config.num_products = 24;
+  config.max_instances = 6;
+  config.seed = 7;
+  ExpectWorkloadMatchesOracle(Workload::BuildSynthetic(config).ValueOrDie());
+}
+
+TEST(AlignmentOracleTest, CellphoneCatalogMatchesOracleBitForBit) {
+  RunnerConfig config;
+  config.category = "Cellphone";
+  config.num_products = 80;
+  config.max_instances = 4;
+  config.seed = 42;
+  ExpectWorkloadMatchesOracle(Workload::BuildSynthetic(config).ValueOrDie());
+}
+
+TEST(AlignmentOracleTest, EdgeCaseReviewsMatchOracleBitForBit) {
+  // A review of more than 1,000 tokens (17 LCS words), reviews with no
+  // tokens at all, and duplicated reviews within and across items.
+  std::string long_text;
+  for (int w = 0; w < 1100; ++w) {
+    long_text += (w % 7 == 0 ? "battery " : "word") + std::to_string(w % 23);
+    long_text += ' ';
+  }
+  const std::vector<std::vector<std::string>> texts = {
+      {long_text, "", "the battery is great", "the battery is great"},
+      {"!!! ... ???", long_text, "battery word3 word5 the"},
+      {"the battery is great", "", "---"},
+  };
+  Corpus corpus("edge");
+  corpus.catalog().Intern("battery");
+  const char* ids[] = {"a", "b", "c"};
+  for (size_t p = 0; p < texts.size(); ++p) {
+    Product product;
+    product.id = ids[p];
+    for (size_t r = 0; r < texts[p].size(); ++r) {
+      product.reviews.push_back(testing::MakeReview(
+          std::string(ids[p]) + std::to_string(r), {{0, testing::kPos}},
+          texts[p][r]));
+    }
+    if (p == 0) product.also_bought = {"b", "c"};
+    corpus.AddProduct(std::move(product)).CheckOK();
+  }
+  corpus.Finalize();
+  ProblemInstance instance;
+  instance.items = {corpus.Find("a"), corpus.Find("b"), corpus.Find("c")};
+  const std::vector<std::vector<Selection>> cases = {
+      {{0, 1, 2, 3}, {0, 1, 2}, {0, 1, 2}},
+      {{0}, {1}, {}},
+      {{1}, {0}, {1, 2}},
+      {{2, 3}, {2}, {0}},
+  };
+  for (const std::vector<Selection>& selections : cases) {
+    ExpectBitIdentical(MeasureAlignment(instance, selections),
+                       oracle::MeasureAlignment(instance, selections),
+                       "all items");
+    for (const std::vector<size_t>& items :
+         {std::vector<size_t>{0, 2}, std::vector<size_t>{1, 2},
+          std::vector<size_t>{2, 0, 1}}) {
+      ExpectBitIdentical(
+          MeasureAlignmentSubset(instance, selections, items),
+          oracle::MeasureAlignmentSubset(instance, selections, items),
+          "subset");
+    }
+  }
 }
 
 // --- Information loss (Figure 11) ------------------------------------------

@@ -15,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "net/server.h"
 #include "service/backend.h"
 #include "service/router.h"
+#include "util/timer.h"
 
 namespace comparesets {
 namespace {
@@ -478,6 +481,23 @@ TEST_P(TransportOracleTest, DownShardRefusesOnlyItsRangeOnBothPaths) {
                      "after refused publication");
 }
 
+/// Blocks until each replica engine has finished `count` requests. A
+/// hedged Select returns the first answer while the other leg may still
+/// be solving; whether that leg has memoized its answer decides the
+/// cache flags of a later exact repeat that it wins, so every hedge
+/// settles on both replicas before the next request is sent.
+void AwaitReplicas(const std::vector<SelectionEngine*>& engines,
+                   size_t count) {
+  for (SelectionEngine* engine : engines) {
+    Timer waited;
+    while (engine->Traces().size() < count) {
+      ASSERT_LT(waited.ElapsedSeconds(), 30.0)
+          << "a replica never finished request " << count;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+}
+
 TEST(TransportHedgingTest, HedgedSelectsMatchAndLeaveNoResidue) {
   auto corpus = MakeCorpus(60);
   EngineOptions engine_options;
@@ -487,9 +507,11 @@ TEST(TransportHedgingTest, HedgedSelectsMatchAndLeaveNoResidue) {
   // Two replica servers over the SAME whole corpus (shards=1 twice).
   std::vector<std::unique_ptr<ShardServer>> servers;
   std::vector<std::string> replicas;
+  std::vector<SelectionEngine*> replica_engines;
   for (int replica = 0; replica < 2; ++replica) {
     auto local = CreateLocalBackends(corpus, 1, engine_options);
     local.status().CheckOK();
+    replica_engines.push_back(local.value().backends[0]->local_engine());
     ShardServerOptions server_options;
     server_options.address = "unix:" + ::testing::TempDir() + "/oracle-hedge-" +
                              std::to_string(replica) + ".sock";
@@ -510,10 +532,12 @@ TEST(TransportHedgingTest, HedgedSelectsMatchAndLeaveNoResidue) {
   // with deterministic engines on identical corpora, is byte-identical
   // to the reference no matter which leg won the race.
   std::vector<SelectRequest> requests = MixedStream(*corpus);
+  size_t sent = 0;
   for (const SelectRequest& request : requests) {
     ExpectSameResponse(backend.value()->Select(request),
                        reference.Select(request),
                        "hedged Select target=" + request.target_id);
+    AwaitReplicas(replica_engines, ++sent);
   }
   EXPECT_GT(backend.value()->hedged_selects(), 0u);
 
@@ -525,6 +549,7 @@ TEST(TransportHedgingTest, HedgedSelectsMatchAndLeaveNoResidue) {
     ExpectSameResponse(backend.value()->Select(request),
                        reference.Select(request),
                        "post-hedge repeat target=" + request.target_id);
+    AwaitReplicas(replica_engines, ++sent);
   }
 
   backend.value().reset();

@@ -298,6 +298,39 @@ TEST(SelectionEngineTest, MetricsDumpCoversRequestCounters) {
   EXPECT_NE(dump.find("gauge result_cache.entries 1"), std::string::npos);
 }
 
+/// Observations of engine.alignment_seconds so far (0 before the first).
+uint64_t AlignmentCount(const SelectionEngine& engine) {
+  for (const auto& [name, histogram] : engine.SnapshotMetrics().histograms) {
+    if (name == "engine.alignment_seconds") return histogram.count;
+  }
+  return 0;
+}
+
+TEST(SelectionEngineTest, AlignmentIsTimedOncePerSolvedAnswer) {
+  auto corpus = MakeCorpus(60);
+  SelectionEngine engine(corpus);
+  SelectRequest request = RequestFor(*corpus, 0);
+  EXPECT_EQ(AlignmentCount(engine), 0u);
+  auto miss = engine.Select(request);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  EXPECT_FALSE(miss.value().result_cache_hit);
+  EXPECT_EQ(AlignmentCount(engine), 1u);
+  // A memo hit replays the stored alignment; nothing is measured.
+  auto hit = engine.Select(request);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit.value().result_cache_hit);
+  EXPECT_EQ(AlignmentCount(engine), 1u);
+
+  EngineOptions options;
+  options.measure_alignment = false;
+  SelectionEngine unmeasured(corpus, options);
+  auto solved = unmeasured.Select(request);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  EXPECT_FALSE(solved.value().result_cache_hit);
+  EXPECT_EQ(solved.value().alignment.among_pairs, 0u);
+  EXPECT_EQ(AlignmentCount(unmeasured), 0u);
+}
+
 // Acceptance parity: over a 240-product synthetic workload, the batched
 // engine path must reproduce the pre-refactor RunSelector results for
 // every selector, bit for bit.

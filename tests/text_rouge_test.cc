@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "oracle/string_rouge.h"
+#include "text/tokenizer.h"
+
 namespace comparesets {
 namespace {
 
@@ -96,16 +101,40 @@ TEST(RougeTest, CaseAndPunctuationInsensitive) {
   EXPECT_DOUBLE_EQ(exact.f1, 1.0);
 }
 
-TEST(RougeDocumentTest, CachedDocumentsMatchStringApi) {
+TEST(InternedDocumentTest, CachedDocumentsMatchStringApi) {
   const char* a = "the puzzle pieces fit together well";
   const char* b = "the pieces of the puzzle are well made";
-  RougeDocument da(a);
-  RougeDocument db(b);
-  RougeTriple cached = da.ScoreAgainst(db);
+  TokenInterner interner;
+  InternedDocument da(interner.Intern(Tokenize(a)));
+  InternedDocument db(interner.Intern(Tokenize(b)));
+  RowIndex index(interner.size());
+  RougeTriple cached = ScoreAgainst(da, db, index);
   RougeTriple direct = RougeAll(a, b);
   EXPECT_DOUBLE_EQ(cached.rouge1.f1, direct.rouge1.f1);
   EXPECT_DOUBLE_EQ(cached.rouge2.f1, direct.rouge2.f1);
   EXPECT_DOUBLE_EQ(cached.rougeL.f1, direct.rougeL.f1);
+}
+
+TEST(InternedDocumentTest, MatchesStringOracleBitForBit) {
+  const char* texts[] = {
+      "",
+      "!!! ... ???",
+      "word",
+      "the battery is great and the battery lasts",
+      "Great battery, great screen; the battery is GREAT.",
+      "the screen the screen the screen the screen",
+      "a b c d e f g h i j k l m n o p q r s t u v w x y z a b c d e f g h "
+      "i j k l m n o p q r s t u v w x y z a b c d e f g h i j k l m n",
+  };
+  for (const char* candidate : texts) {
+    for (const char* reference : texts) {
+      RougeTriple fast = RougeAll(candidate, reference);
+      RougeTriple slow = oracle::RougeDocument(candidate).ScoreAgainst(
+          oracle::RougeDocument(reference));
+      EXPECT_EQ(std::memcmp(&fast, &slow, sizeof(RougeTriple)), 0)
+          << "'" << candidate << "' vs '" << reference << "'";
+    }
+  }
 }
 
 TEST(RougeTest, RougeLAtLeastAsSelectiveAsRouge1) {

@@ -352,6 +352,39 @@ TEST(CliTest, NonFiniteWeightIsAUsageErrorNotANanAnswer) {
   EXPECT_NE(serve.output.find("(1 failed)"), std::string::npos) << serve.output;
 }
 
+TEST(CliTest, BadAlgorithmTargetOrKIsAUsageErrorNotAnAbort) {
+  // Each used to abort (exit 134) on an unchecked Status.
+  CommandResult algorithm = RunCli("select --products 40 --algorithm Nope");
+  EXPECT_EQ(algorithm.exit_code, 2) << algorithm.output;
+  EXPECT_NE(algorithm.output.find("unknown selector: Nope"),
+            std::string::npos)
+      << algorithm.output;
+
+  CommandResult target = RunCli("select --products 40 --target nope");
+  EXPECT_EQ(target.exit_code, 2) << target.output;
+  EXPECT_NE(target.output.find("no instance with target id 'nope'"),
+            std::string::npos)
+      << target.output;
+
+  CommandResult narrow = RunCli("narrow --products 40 --m 2 --k 0");
+  EXPECT_EQ(narrow.exit_code, 2) << narrow.output;
+  EXPECT_NE(narrow.output.find("k must be in [1, n]; got k=0"),
+            std::string::npos)
+      << narrow.output;
+}
+
+TEST(CliTest, BadCorpusFlagsAreAUsageErrorNotAnAbort) {
+  CommandResult category = RunCli("select --category Nope --products 40");
+  EXPECT_EQ(category.exit_code, 2) << category.output;
+  EXPECT_NE(category.output.find("unknown category: Nope"), std::string::npos)
+      << category.output;
+
+  CommandResult files = RunCli("stats --reviews only-reviews.jsonl");
+  EXPECT_EQ(files.exit_code, 2) << files.output;
+  EXPECT_NE(files.output.find("must be given together"), std::string::npos)
+      << files.output;
+}
+
 TEST(CliTest, HelpListsFlags) {
   CommandResult result = RunCli("select --help");
   EXPECT_EQ(result.exit_code, 0);

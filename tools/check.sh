@@ -41,8 +41,8 @@
 # directory, and cmp's every CSV against the committed copy in
 # results/. A change to the production solve path that moves any
 # published figure fails here; regenerate the tables (and the
-# EXPERIMENTS.md figures they feed) in the same change. Table 3 runs
-# about 90 s on a 4-core host.
+# EXPERIMENTS.md figures they feed) in the same change. Each bench's
+# wall time is printed after it runs.
 #
 # JOBS=N overrides the build/test parallelism (default: nproc).
 # Each phase failure names the configuration and phase that failed and
@@ -211,12 +211,14 @@ run_tables() {
   stale=""
   for bench in $TABLE_BENCHES; do
     echo "== [$name] $bench (default arguments)"
+    started=$(date +%s)
     if ! "$dir/bench/$bench" --outdir "$out" > "$out/$bench.log" 2>&1; then
       cat "$out/$bench.log" >&2
       rm -rf "$out"
       echo "== check.sh: [$name] $bench FAILED" >&2
       exit 4
     fi
+    echo "== [$name] $bench took $(( $(date +%s) - started )) s"
     if ! cmp -s "$out/$bench.csv" "results/$bench.csv"; then
       diff "results/$bench.csv" "$out/$bench.csv" >&2 || true
       stale="$stale $bench.csv"

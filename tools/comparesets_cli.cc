@@ -128,18 +128,25 @@ void PrintSelections(const ProblemInstance& instance,
   }
 }
 
+// Prints a refused Status; returns 2, the usage/parse exit code.
+int UsageError(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 2;
+}
+
 int RunStats(const FlagParser& flags) {
   auto corpus = LoadData(flags);
-  corpus.status().CheckOK();
+  if (!corpus.ok()) return UsageError(corpus.status());
   std::printf("%s", ComputeStatistics(corpus.value()).ToString().c_str());
   return 0;
 }
 
 int RunExport(const FlagParser& flags) {
   auto corpus = LoadData(flags);
-  corpus.status().CheckOK();
+  if (!corpus.ok()) return UsageError(corpus.status());
   const std::string& prefix = flags.GetString("prefix");
-  ExportCorpusFiles(corpus.value(), prefix).CheckOK();
+  Status exported = ExportCorpusFiles(corpus.value(), prefix);
+  if (!exported.ok()) return UsageError(exported);
   std::printf("Wrote %s.reviews.jsonl, %s.metadata.jsonl, "
               "%s.annotations.jsonl (%zu products, %zu reviews)\n",
               prefix.c_str(), prefix.c_str(), prefix.c_str(),
@@ -149,9 +156,9 @@ int RunExport(const FlagParser& flags) {
 
 int RunSelect(const FlagParser& flags, bool narrow) {
   auto corpus = LoadData(flags);
-  corpus.status().CheckOK();
+  if (!corpus.ok()) return UsageError(corpus.status());
   auto instance = PickInstance(corpus.value(), flags.GetString("target"));
-  instance.status().CheckOK();
+  if (!instance.ok()) return UsageError(instance.status());
 
   OpinionModel model = OpinionModel::Binary(corpus.value().num_aspects());
   InstanceVectors vectors = BuildInstanceVectors(model, instance.value());
@@ -161,12 +168,9 @@ int RunSelect(const FlagParser& flags, bool narrow) {
   options.lambda = flags.GetDouble("lambda");
   options.mu = flags.GetDouble("mu");
   auto selector = MakeSelector(flags.GetString("algorithm"));
-  selector.status().CheckOK();
+  if (!selector.ok()) return UsageError(selector.status());
   auto result = selector.value()->Select(vectors, options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 2;
-  }
+  if (!result.ok()) return UsageError(result.status());
 
   std::printf("Target %s with %zu comparative products; %s selected up to "
               "%zu reviews per product (Eq. 5 objective %.4f).\n",
@@ -185,7 +189,7 @@ int RunSelect(const FlagParser& flags, bool narrow) {
     ExactSolverOptions exact_options;
     exact_options.time_limit_seconds = flags.GetDouble("time_limit");
     auto core = SolveTargetHksExact(graph, k, exact_options);
-    core.status().CheckOK();
+    if (!core.ok()) return UsageError(core.status());
     std::printf("Core list: %zu of %zu items, weight %.4f%s.\n", k,
                 instance.value().num_items(), core.value().weight,
                 core.value().proven_optimal ? " (proven optimal)" : "");
@@ -271,10 +275,7 @@ int ReadServeRequests(const FlagParser& flags,
   const std::string& queries_path = flags.GetString("queries");
   if (queries_path.empty()) {
     auto parsed = ParseQueries(std::cin, flags);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 2;
-    }
+    if (!parsed.ok()) return UsageError(parsed.status());
     *requests = std::move(parsed).value();
   } else {
     std::ifstream file(queries_path);
@@ -284,10 +285,7 @@ int ReadServeRequests(const FlagParser& flags,
       return 2;
     }
     auto parsed = ParseQueries(file, flags);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 2;
-    }
+    if (!parsed.ok()) return UsageError(parsed.status());
     *requests = std::move(parsed).value();
   }
   double deadline_seconds = flags.GetDouble("deadline_ms") / 1000.0;
@@ -467,8 +465,7 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
         "--ingest_log is not available over --transport rpc (the delta "
         "builder lives in the serving process); run --transport local, "
         "or replay the WAL into the corpus files the shard servers load");
-    std::fprintf(stderr, "%s\n", refused.ToString().c_str());
-    return 2;
+    return UsageError(refused);
   }
   int shards_flag = flags.GetInt("shards");
   if (shards_flag < 1) {
