@@ -15,9 +15,10 @@ Result<SelectionResult> CompareSetsSelector::Select(
   COMPARESETS_RETURN_NOT_OK(ValidateSelectorOptions(options));
   // Problem 1 decomposes per item: every product's NOMP/rounding run is
   // independent of the others', so fan them out over the request's pool.
-  // Each lane builds/fetches its own system (DesignSystemCache locks)
-  // and solves on its own thread-local scratch; the index-ordered merge
-  // keeps selections bit-identical.
+  // Each lane assembles its own system from the item's blocks (fetched
+  // through the instance's ItemBlockCache, which locks) and solves on
+  // its own thread-local scratch; the index-ordered merge keeps
+  // selections bit-identical.
   // Each lane writes only its own sampling slot, so the outcome fold
   // below is race-free.
   size_t n = vectors.num_items();
@@ -30,14 +31,15 @@ Result<SelectionResult> CompareSetsSelector::Select(
           n, options.parallel, control, "comparesets item loop",
           [&](size_t i) {
             RestrictedSystem system = MaybeSampleSystem(
-                GetOrBuildCompareSetsSystem(vectors, i, options.lambda),
-                options, i, vectors.num_reviews(i));
+                BuildCompareSetsSystem(vectors, i, options.lambda), options,
+                i, vectors.num_reviews(i));
             uncovered[i] = system.uncovered_mass;
             restricted[i] = system.restricted ? 1 : 0;
             auto cost = [&](const Selection& selection) {
               return ItemCost(vectors, i, selection, options.lambda);
             };
-            return SolveIntegerRegression(*system.system, options.m, cost, control);
+            return SolveIntegerRegression(system.system, options.m, cost,
+                                          control);
           }));
   RecordSpan(control, "compare_sets.items", timer.ElapsedSeconds());
 
@@ -50,11 +52,6 @@ Result<SelectionResult> CompareSetsSelector::Select(
                                            options.lambda, options.mu);
   ApplySamplingOutcome(uncovered, restricted, &out);
   return out;
-}
-
-void CompareSetsSelector::PrefetchSystems(const InstanceVectors& vectors,
-                                          const SelectorOptions& options) const {
-  PrefetchCompareSetsSystems(vectors, options.lambda);
 }
 
 }  // namespace comparesets

@@ -15,8 +15,6 @@ class CompareSetsSelector : public ReviewSelector {
   Result<SelectionResult> Select(const InstanceVectors& vectors,
                                  const SelectorOptions& options,
                                  const ExecControl* control) const override;
-  void PrefetchSystems(const InstanceVectors& vectors,
-                       const SelectorOptions& options) const override;
 };
 
 }  // namespace comparesets

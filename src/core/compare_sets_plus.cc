@@ -1,7 +1,6 @@
 #include "core/compare_sets_plus.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -43,20 +42,15 @@ Result<SelectionResult> CompareSetsPlusSelector::Select(
   // item i's full coordinate cost under the *current* state.
   int sweeps = 1 + std::max(0, options.extra_sync_rounds);
 
-  // Per-item systems persist across sweeps: the column structure — and
-  // with it the dedup grouping, G, and the column norms — depends only
-  // on (vectors, item, λ, μ); the evolving φs appear solely in the
-  // target. Later sweeps therefore refresh each system's target in
-  // place (RefreshDesignTarget: bit-identical to a rebuild) instead of
-  // re-running dedup and the O(q · nnz) Gram build. Each lane touches
-  // only its own slot, and sweeps are sequential.
-  std::vector<std::unique_ptr<DesignSystem>> systems(n);
-
-  // Sampled items restrict their sweep system once, at first build —
-  // the seeded draw depends only on (seed, item, review count), so the
-  // restricted skeleton is the same one every sweep would produce. The
-  // bootstrap above already sampled consistently (same options reached
-  // CompareSetsSelector), and it carries the tier/gap of its items.
+  // Each round assembles item i's system afresh from its λ/μ-free
+  // blocks: G = G_op + (λ² + (n−1)μ²)·G_asp never changes across
+  // rounds, and the evolving φs enter only through Ṽᵀy and ‖y‖², so an
+  // O(q²) assembly per round replaces any rebuild of the n−1 stacked μ
+  // blocks. Sampled items draw the same restriction every round — the
+  // draw depends only on (seed, item, review count) — and the bootstrap
+  // above already sampled consistently (same options reached
+  // CompareSetsSelector) and carries the tier/gap of its items. Each
+  // lane writes only its own slot, and sweeps are sequential.
   std::vector<double> uncovered(n, 0.0);
   std::vector<char> restricted(n, 0);
 
@@ -76,22 +70,12 @@ Result<SelectionResult> CompareSetsPlusSelector::Select(
               for (size_t j = 0; j < n; ++j) {
                 if (j != i) other_phis.push_back(sweep_phis[j]);
               }
-              if (systems[i] == nullptr) {
-                systems[i] = std::make_unique<DesignSystem>(
-                    BuildCompareSetsPlusSystem(vectors, i, options.lambda,
-                                               options.mu, other_phis));
-                bool item_restricted = false;
-                uncovered[i] = RestrictSystemInPlace(
-                    systems[i].get(), options, i, vectors.num_reviews(i),
-                    &item_restricted);
-                restricted[i] = item_restricted ? 1 : 0;
-              } else {
-                RefreshDesignTarget(
-                    systems[i].get(),
-                    BuildCompareSetsPlusTarget(vectors, i, options.lambda,
-                                               options.mu, other_phis));
-              }
-              const DesignSystem& system = *systems[i];
+              RestrictedSystem system = MaybeSampleSystem(
+                  BuildCompareSetsPlusSystem(vectors, i, options.lambda,
+                                             options.mu, other_phis),
+                  options, i, vectors.num_reviews(i));
+              uncovered[i] = system.uncovered_mass;
+              restricted[i] = system.restricted ? 1 : 0;
 
               // Item i's full contribution to Eq. 5 holding the others
               // at their round-start values: own Eq. 3 cost +
@@ -104,7 +88,8 @@ Result<SelectionResult> CompareSetsPlusSelector::Select(
                 }
                 return total;
               };
-              return SolveIntegerRegression(system, options.m, cost, control);
+              return SolveIntegerRegression(system.system, options.m, cost,
+                                            control);
             }));
 
     // Ordered commit: re-evaluate each proposal against the live φs and
@@ -144,14 +129,6 @@ Result<SelectionResult> CompareSetsPlusSelector::Select(
         std::max(state.objective_gap, sweep_outcome.objective_gap);
   }
   return state;
-}
-
-void CompareSetsPlusSelector::PrefetchSystems(
-    const InstanceVectors& vectors, const SelectorOptions& options) const {
-  // The cacheable work is the bootstrap's per-item CompaReSetS systems;
-  // the sweep's own systems embed evolving φ targets and are not
-  // memoized (they persist across sweeps locally instead).
-  PrefetchCompareSetsSystems(vectors, options.lambda);
 }
 
 }  // namespace comparesets

@@ -18,8 +18,6 @@ class CompareSetsPlusSelector : public ReviewSelector {
   Result<SelectionResult> Select(const InstanceVectors& vectors,
                                  const SelectorOptions& options,
                                  const ExecControl* control) const override;
-  void PrefetchSystems(const InstanceVectors& vectors,
-                       const SelectorOptions& options) const override;
 };
 
 }  // namespace comparesets

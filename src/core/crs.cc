@@ -27,7 +27,7 @@ Result<SelectionResult> CrsSelector::Select(
           n, options.parallel, control, "crs item loop",
           [&](size_t i) {
             RestrictedSystem system = MaybeSampleSystem(
-                GetOrBuildCrsSystem(vectors, i), options, i,
+                BuildCrsSystem(vectors, i), options, i,
                 vectors.num_reviews(i));
             uncovered[i] = system.uncovered_mass;
             restricted[i] = system.restricted ? 1 : 0;
@@ -37,7 +37,8 @@ Result<SelectionResult> CrsSelector::Select(
               return SquaredDistance(vectors.tau[i],
                                      vectors.OpinionOf(i, selection));
             };
-            return SolveIntegerRegression(*system.system, options.m, cost, control);
+            return SolveIntegerRegression(system.system, options.m, cost,
+                                          control);
           }));
   RecordSpan(control, "crs.items", timer.ElapsedSeconds());
 
@@ -50,12 +51,6 @@ Result<SelectionResult> CrsSelector::Select(
                                            options.lambda, options.mu);
   ApplySamplingOutcome(uncovered, restricted, &out);
   return out;
-}
-
-void CrsSelector::PrefetchSystems(const InstanceVectors& vectors,
-                                  const SelectorOptions& options) const {
-  (void)options;  // Crs systems depend on the vectors only.
-  PrefetchCrsSystems(vectors);
 }
 
 }  // namespace comparesets

@@ -17,8 +17,6 @@ class CrsSelector : public ReviewSelector {
   Result<SelectionResult> Select(const InstanceVectors& vectors,
                                  const SelectorOptions& options,
                                  const ExecControl* control) const override;
-  void PrefetchSystems(const InstanceVectors& vectors,
-                       const SelectorOptions& options) const override;
 };
 
 }  // namespace comparesets

@@ -1,147 +1,162 @@
-// Design-matrix construction for the Integer-Regression algorithm
-// (paper §2.2 and Algorithm 1, Figure 3).
+// Design systems for the Integer-Regression algorithm (paper §2.2 and
+// Algorithm 1, Figure 3), assembled from λ/μ-free per-item blocks.
 //
 // For item p_i, each review r_j contributes one column:
-//   CompaReSetS:   [ b(r_j) ; λ·a(r_j) ]               target [τ_i ; λΓ]
+//   Crs:           [ b(r_j) ]                           target τ_i
+//   CompaReSetS:   [ b(r_j) ; λ·a(r_j) ]                target [τ_i ; λΓ]
 //   CompaReSetS+:  [ b(r_j) ; λ·a(r_j) ; μ·a(r_j) ×(n−1) ]
 //                  target [τ_i ; λΓ ; μφ(S_1) ; … ; μφ(S_n)] (skipping i)
 // where b(r) is the opinion block and a(r) the 0/1 aspect block. Scaling
 // both the rows and the target by λ (resp. μ) realizes the λ²/μ² weights
-// of the squared objective.
+// of the squared objective. Identical columns are deduplicated, keeping
+// multiplicities c_1..c_q (Algorithm 1 line 5).
 //
-// Identical columns (reviews with the same annotation signature) are
-// deduplicated, keeping multiplicities c_1..c_q (Algorithm 1 line 5).
-// Columns are assembled and deduplicated sparsely — the aspect blocks
-// are 0/1 indicators, so no dense per-review column is ever formed —
-// and every system carries its precomputed GramSystem (G = ṼᵀṼ, Ṽᵀy,
-// ‖y‖²), which the Gram-path solvers run on.
+// None of these columns is ever materialized. The solvers need only the
+// normal equations, and those factor into blocks that depend on the item
+// alone (DESIGN.md §8.7):
+//   G     = G_op + (λ² + (n−1)μ²)·G_asp
+//   Ṽᵀy   = V_opᵀτ + λ²·Aᵀγ + μ²·Aᵀ(Σ_{j≠i} φ_j)
+//   ‖y‖²  = ‖τ‖² + λ²‖γ‖² + μ²·Σ_{j≠i} ‖φ_j‖²
+// ItemBlocks holds those blocks plus the dedup groups, built once per
+// item; AssembleDesignSystem turns them into one solvable system at any
+// (λ, μ, φ) in O(q²). The service layer keeps each prepared instance's
+// blocks in an ItemBlockCache, so every objective at every λ and μ is
+// served from one build.
 
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "linalg/gram.h"
-#include "linalg/matrix.h"
-#include "linalg/sparse_matrix.h"
+#include "linalg/vector.h"
 #include "opinion/vectors.h"
 
 namespace comparesets {
 
-/// A deduplicated least-squares system for one item.
+/// A deduplicated least-squares system for one item, in normal-equation
+/// form: the only view the Integer-Regression solvers read.
 struct DesignSystem {
-  /// Deduplicated design matrix Ṽ (rows = target dims, cols = q groups).
-  SparseMatrix v;
-  /// Target vector Υ.
-  Vector target;
   /// Multiplicity c_g of each deduplicated column group.
   std::vector<int> dup_counts;
-  /// Review indices (into Product::reviews) in each group.
+  /// Review indices (into Product::reviews) in each group, ascending.
   std::vector<std::vector<size_t>> group_reviews;
-  /// Precomputed normal equations of (v, target), built once per system.
+  /// G = ṼᵀṼ, Ṽᵀy, ‖y‖² and the column norms of the deduplicated Ṽ.
   GramSystem gram;
 
-  /// Approximate heap footprint (for the service cache accounting).
-  size_t ApproxMemoryBytes() const {
-    return v.ApproxMemoryBytes() + gram.ApproxMemoryBytes() +
-           target.size() * sizeof(double) + dup_counts.size() * sizeof(int);
-  }
+  /// Deduplicated column count q.
+  size_t cols() const { return dup_counts.size(); }
 };
 
-/// System for the plain CompaReSetS objective on `item` (Eq. 3/4).
-DesignSystem BuildCompareSetsSystem(const InstanceVectors& vectors,
-                                    size_t item, double lambda);
+/// The λ/μ-free blocks of one item's design systems.
+///
+/// Groups are keyed on the (opinion, aspect) signature of each review
+/// and numbered by first appearance in review order — the numbering the
+/// materialized dedup produced, whatever the sign of λ or μ (its
+/// comparator decided only equality). Objectives without an aspect part
+/// (Crs; λ = 0 with no μ block) group on the opinion signature alone:
+/// those groups are unions of pair groups, recorded in `opinion_*`.
+struct ItemBlocks {
+  /// Pair groups: multiplicities and members (ascending review order).
+  std::vector<int> dup_counts;
+  std::vector<std::vector<size_t>> group_reviews;
+  /// Opinion-only groups, in first-appearance order. opinion_head[k] is
+  /// the pair group holding the first review of opinion group k; its
+  /// opinion column is the group's.
+  std::vector<size_t> opinion_head;
+  std::vector<int> opinion_dup_counts;
+  std::vector<std::vector<size_t>> opinion_group_reviews;
+  /// b_gᵀb_h and a_gᵀa_h over pair groups, packed lower triangles:
+  /// entry (g, h), h ≤ g, sits at g(g+1)/2 + h.
+  std::vector<double> gram_opinion;
+  std::vector<double> gram_aspect;
+  /// b_gᵀτ and a_gᵀγ per pair group.
+  std::vector<double> vty_opinion;
+  std::vector<double> vty_aspect;
+  /// Aspect rows where a_g = 1, ascending, per pair group.
+  std::vector<std::vector<size_t>> aspect_support;
+  /// Aspect dimensions (the size of Γ and of every φ).
+  size_t aspect_rows = 0;
+  /// ‖τ_i‖² and ‖Γ‖².
+  double tau_norm2 = 0.0;
+  double gamma_norm2 = 0.0;
+
+  size_t pair_groups() const { return dup_counts.size(); }
+  /// Approximate heap footprint (for the service cache accounting).
+  size_t ApproxMemoryBytes() const;
+};
+
+/// Builds item `item`'s blocks: O(reviews · dims) to group, O(q · nnz)
+/// for the two Gram triangles.
+ItemBlocks BuildItemBlocks(const InstanceVectors& vectors, size_t item);
+
+/// The objective weights one assembly applies to the blocks.
+struct DesignWeights {
+  double lambda = 0.0;
+  double mu = 0.0;
+  /// n − 1, the number of μ-scaled aspect blocks (CompaReSetS+ only).
+  size_t other_items = 0;
+  /// Σ_{j≠i} φ(S_j) over the other items (aspect dims; empty when
+  /// other_items is 0) and Σ_{j≠i} ‖φ(S_j)‖².
+  Vector phi_sum;
+  double phi_norm2 = 0.0;
+
+  /// Whether the columns carry no aspect part, so groups are keyed on
+  /// the opinion signature alone.
+  bool opinion_only() const {
+    return lambda == 0.0 && (mu == 0.0 || other_items == 0);
+  }
+
+  static DesignWeights Crs() { return {}; }
+  static DesignWeights CompareSets(double lambda);
+  /// `other_phis` are φ(S_j) for every j ≠ i, in item order.
+  static DesignWeights CompareSetsPlus(double lambda, double mu,
+                                       const std::vector<Vector>& other_phis);
+};
+
+/// G, Ṽᵀy, ‖y‖² and the groups of one objective, in O(q²) from `blocks`.
+DesignSystem AssembleDesignSystem(const ItemBlocks& blocks,
+                                  const DesignWeights& weights);
+
+/// Per-instance memo of built ItemBlocks, filled lazily and thread-safe.
+/// The blocks are pure functions of the immutable vectors, so one entry
+/// per item serves every objective, λ and μ.
+class ItemBlockCache {
+ public:
+  explicit ItemBlockCache(size_t items) : items_(items) {}
+
+  std::shared_ptr<const ItemBlocks> Get(const InstanceVectors& vectors,
+                                        size_t item) const;
+
+  /// Footprint of the blocks built so far.
+  size_t ApproxMemoryBytes() const;
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::vector<std::shared_ptr<const ItemBlocks>> items_;
+  mutable size_t bytes_ = 0;
+};
+
+/// Item `item`'s blocks: from `vectors.block_cache` when the instance
+/// came through the service layer's PreparedInstance, built fresh
+/// otherwise.
+std::shared_ptr<const ItemBlocks> GetOrBuildItemBlocks(
+    const InstanceVectors& vectors, size_t item);
 
 /// System for Crs (single-item characteristic selection: opinion rows
 /// only — the λ = 0, single-item special case the paper reduces to).
 DesignSystem BuildCrsSystem(const InstanceVectors& vectors, size_t item);
 
+/// System for the plain CompaReSetS objective on `item` (Eq. 3/4).
+DesignSystem BuildCompareSetsSystem(const InstanceVectors& vectors,
+                                    size_t item, double lambda);
+
 /// System for the synchronized CompaReSetS+ objective on `item`
 /// (Algorithm 1 lines 3–4) given the other items' current selections.
-DesignSystem BuildCompareSetsPlusSystem(
-    const InstanceVectors& vectors, size_t item, double lambda, double mu,
-    const std::vector<Vector>& other_phis);
-
-/// Just the target [τ_i ; λΓ ; μφ(S_1) ; … ; μφ(S_n)] (skipping i) of
-/// BuildCompareSetsPlusSystem — assembled by the same operations, so the
-/// bits match the full builder's target exactly.
-Vector BuildCompareSetsPlusTarget(const InstanceVectors& vectors, size_t item,
-                                  double lambda, double mu,
-                                  const std::vector<Vector>& other_phis);
-
-/// Swaps a new target (same size) into an existing system and refreshes
-/// the target-dependent Gram entries (Ṽᵀy in one sparse_gemv_t kernel
-/// pass, ‖y‖² in one kernel dot). The column structure — and with it the
-/// dedup grouping, G, and the column norms — depends only on the
-/// columns, so the result is bit-identical to rebuilding the system
-/// from scratch with the new target. This is how the CompaReSetS+ sweep
-/// carries each item's system across sync rounds: only the φ target
-/// blocks evolve; the Ṽ skeleton and G never change.
-void RefreshDesignTarget(DesignSystem* system, Vector target);
-
-/// Bounded, thread-safe memo of built design systems for one prepared
-/// instance. Crs and CompaReSetS systems depend only on (item, λ) given
-/// fixed vectors, so the service layer builds each once per cached
-/// instance instead of once per request. (CompaReSetS+ systems embed the
-/// sweep's evolving φ targets and are deliberately not memoized.)
-class DesignSystemCache {
- public:
-  std::shared_ptr<const DesignSystem> GetCrs(const InstanceVectors& vectors,
-                                             size_t item) const;
-  std::shared_ptr<const DesignSystem> GetCompareSets(
-      const InstanceVectors& vectors, size_t item, double lambda) const;
-
-  /// Builds every item's system that is not already cached, in one pass:
-  /// the column skeletons are assembled first, then all the Grams are
-  /// filled by a single BuildGramSystemBatch call over one shared
-  /// scatter workspace. Each inserted system is bit-identical to what
-  /// the per-item getter would have built on demand; already-present
-  /// entries win over prefetched ones. Purely a warm-up for the batch
-  /// window — never required for correctness.
-  void PrefetchCrs(const InstanceVectors& vectors) const;
-  void PrefetchCompareSets(const InstanceVectors& vectors,
-                           double lambda) const;
-
-  size_t size() const;
-  size_t ApproxMemoryBytes() const;
-
- private:
-  struct Key {
-    char kind;             ///< 'r' = Crs, 'c' = CompaReSetS.
-    size_t item;
-    uint64_t lambda_bits;  ///< bit_cast of λ: exact, hashable, orderable.
-    auto operator<=>(const Key&) const = default;
-  };
-
-  std::shared_ptr<const DesignSystem> GetOrBuild(
-      const Key& key, const InstanceVectors& vectors, double lambda) const;
-
-  void Prefetch(char kind, const InstanceVectors& vectors,
-                double lambda) const;
-
-  /// Safety valve, far above any real working set (items × λ values).
-  static constexpr size_t kMaxEntries = 1024;
-
-  mutable std::mutex mutex_;
-  mutable std::map<Key, std::shared_ptr<const DesignSystem>> entries_;
-};
-
-/// Cache-aware accessors the selectors use: served from
-/// `vectors.system_cache` when the instance came through the service
-/// layer's PreparedInstance, built fresh otherwise.
-std::shared_ptr<const DesignSystem> GetOrBuildCrsSystem(
-    const InstanceVectors& vectors, size_t item);
-std::shared_ptr<const DesignSystem> GetOrBuildCompareSetsSystem(
-    const InstanceVectors& vectors, size_t item, double lambda);
-
-/// Batched warm-up counterparts (selector PrefetchSystems hooks): build
-/// every per-item system into `vectors.system_cache` in one batched
-/// Gram pass. No-ops when the instance carries no cache — uncached
-/// instances build per item exactly as before.
-void PrefetchCrsSystems(const InstanceVectors& vectors);
-void PrefetchCompareSetsSystems(const InstanceVectors& vectors, double lambda);
+DesignSystem BuildCompareSetsPlusSystem(const InstanceVectors& vectors,
+                                        size_t item, double lambda, double mu,
+                                        const std::vector<Vector>& other_phis);
 
 }  // namespace comparesets

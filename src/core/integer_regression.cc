@@ -58,9 +58,20 @@ std::vector<int> RoundToIntegerCounts(const Vector& x,
   size_t cap_total = 0;
   for (int cap : caps) cap_total += static_cast<size_t>(std::max(cap, 0));
   size_t last_total = std::min(max_total, cap_total);
+  // Scratch shared by every t: the counts under trial, each group's
+  // fractional remainder, and the groups still below their cap.
+  std::vector<int> nu(q);
+  std::vector<double> remainder(q);
+  std::vector<size_t> open(q);
+  // Largest remainder first, ties to the lower group index: a total
+  // order, so an unstable sort ranks exactly as a stable sort on the
+  // remainder alone over groups in index order.
+  auto ranks_before = [&](size_t a, size_t b) {
+    return remainder[a] > remainder[b] ||
+           (remainder[a] == remainder[b] && a < b);
+  };
   for (size_t t = 1; t <= last_total; ++t) {
-    std::vector<int> nu(q, 0);
-    std::vector<std::pair<double, size_t>> remainders;
+    size_t open_count = 0;
     int assigned = 0;
     for (size_t g = 0; g < q; ++g) {
       double desired = x_normalized[g] * static_cast<double>(t);
@@ -68,21 +79,22 @@ std::vector<int> RoundToIntegerCounts(const Vector& x,
       nu[g] = base;
       assigned += base;
       if (base < caps[g]) {
-        remainders.emplace_back(desired - base, g);
+        remainder[g] = desired - base;
+        open[open_count++] = g;
       }
     }
     int remaining = static_cast<int>(t) - assigned;
     // Distribute leftovers to the largest fractional remainders first,
-    // honoring the per-group caps (stable tie-break by group index).
-    std::stable_sort(remainders.begin(), remainders.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first > b.first;
-                     });
-    for (const auto& [remainder, g] : remainders) {
-      if (remaining <= 0) break;
-      int room = caps[g] - nu[g];
-      if (room <= 0) continue;
-      int take = std::min(room, remaining);
+    // honoring the per-group caps. Every open group takes at least one
+    // unit, so at most `remaining` of them are reached: only that many
+    // need ranking.
+    size_t reached =
+        std::min(open_count, static_cast<size_t>(std::max(remaining, 0)));
+    std::partial_sort(open.begin(), open.begin() + reached,
+                      open.begin() + open_count, ranks_before);
+    for (size_t k = 0; k < reached && remaining > 0; ++k) {
+      size_t g = open[k];
+      int take = std::min(caps[g] - nu[g], remaining);
       nu[g] += take;
       remaining -= take;
     }
@@ -99,10 +111,11 @@ Result<IntegerRegressionResult> SolveIntegerRegression(
     const DesignSystem& system, size_t m, const TrueCostFn& true_cost,
     const ExecControl* control) {
   if (m == 0) return Status::InvalidArgument("m must be >= 1");
-  if (system.v.cols() == 0) {
+  if (system.cols() == 0) {
     return Status::InvalidArgument("empty design system");
   }
-  COMPARESETS_CHECK(system.dup_counts.size() == system.v.cols())
+  COMPARESETS_CHECK(system.group_reviews.size() == system.cols() &&
+                    system.gram.cols() == system.cols())
       << "dedup bookkeeping mismatch";
 
   IntegerRegressionResult best;
@@ -137,7 +150,7 @@ Result<IntegerRegressionResult> SolveIntegerRegression(
   // One pursuit covers every budget: the sweep's per-ℓ snapshots are
   // bit-identical to per-ℓ SolveNompGram calls (linalg/nomp.h), with
   // O(max_ell) refits instead of O(max_ell²).
-  size_t max_ell = std::min(m, system.v.cols());
+  size_t max_ell = std::min(m, system.cols());
   auto sweep = SolveNompGramSweep(system.gram, max_ell, control);
   if (!sweep.ok()) {
     StatusCode code = sweep.status().code();

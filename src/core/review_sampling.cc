@@ -7,14 +7,27 @@
 
 namespace comparesets {
 
-namespace {
+bool ShouldSampleItem(const SelectorOptions& options, size_t num_reviews) {
+  return options.min_tier == QualityTier::kSampled &&
+         options.sample_threshold > 0 &&
+         num_reviews > options.sample_threshold && options.sample_size > 0 &&
+         options.sample_size < num_reviews;
+}
 
-/// Shared restriction core: scans coverage and, when the sample is
-/// lossy, fills *out with the restricted system and returns the
-/// uncovered mass (> 0). Lossless samples return 0 with *out untouched
-/// — the caller keeps the full system (the promotion path).
-double RestrictCore(const DesignSystem& full, const std::vector<size_t>& sample,
-                    size_t m, DesignSystem* out) {
+std::vector<size_t> SampleReviewIndices(const SelectorOptions& options,
+                                        size_t item, size_t num_reviews) {
+  // Knuth-multiplicative stream separation: one request seed, one
+  // independent draw per item, stable across thread counts.
+  Rng rng(options.seed, item * 2654435761ull + 0x51edu);
+  std::vector<size_t> sample = rng.SampleWithoutReplacement(
+      num_reviews, std::min(options.sample_size, num_reviews));
+  std::sort(sample.begin(), sample.end());
+  return sample;
+}
+
+RestrictedSystem RestrictToSample(DesignSystem full,
+                                  const std::vector<size_t>& sample,
+                                  size_t m) {
   size_t q = full.group_reviews.size();
   std::vector<std::vector<size_t>> sampled_members(q);
   double total_mass = 0.0;
@@ -36,63 +49,37 @@ double RestrictCore(const DesignSystem& full, const std::vector<size_t>& sample,
       uncovered += mass;
     }
   }
-  if (lossless) return 0.0;
+  if (lossless) return RestrictedSystem{std::move(full), 0.0, false};
 
-  out->v = SparseMatrix(full.v.rows());
-  out->dup_counts.clear();
-  out->group_reviews.clear();
+  // Column sampling leaves the row space — and with it the target —
+  // untouched; only the normal equations shrink, to the surviving
+  // groups' principal submatrix.
+  std::vector<size_t> kept;
+  DesignSystem out;
   for (size_t g = 0; g < q; ++g) {
     if (sampled_members[g].empty()) continue;
-    SparseColumn column;
-    size_t nnz = full.v.ColumnNnz(g);
-    const size_t* rows = full.v.ColumnRows(g);
-    const double* values = full.v.ColumnValues(g);
-    column.reserve(nnz);
-    for (size_t k = 0; k < nnz; ++k) {
-      column.push_back(SparseEntry{rows[k], values[k]});
-    }
-    out->v.AppendColumn(column);
-    out->dup_counts.push_back(static_cast<int>(sampled_members[g].size()));
-    out->group_reviews.push_back(std::move(sampled_members[g]));
+    kept.push_back(g);
+    out.dup_counts.push_back(static_cast<int>(sampled_members[g].size()));
+    out.group_reviews.push_back(std::move(sampled_members[g]));
   }
-  // Column sampling leaves the row space — and with it the target —
-  // untouched; only the normal equations shrink.
-  out->target = full.target;
-  out->gram = GramSystem::Build(out->v, out->target);
-  return total_mass > 0.0 ? uncovered / total_mass : 0.0;
+  const GramSystem& gram = full.gram;
+  out.gram.gram = Matrix(kept.size(), kept.size());
+  out.gram.vty = Vector(kept.size());
+  out.gram.col_norms.resize(kept.size());
+  out.gram.target_norm2 = gram.target_norm2;
+  for (size_t k = 0; k < kept.size(); ++k) {
+    for (size_t l = 0; l < kept.size(); ++l) {
+      out.gram.gram(k, l) = gram.gram(kept[k], kept[l]);
+    }
+    out.gram.vty[k] = gram.vty[kept[k]];
+    out.gram.col_norms[k] = gram.col_norms[kept[k]];
+  }
+  return RestrictedSystem{std::move(out),
+                          total_mass > 0.0 ? uncovered / total_mass : 0.0,
+                          true};
 }
 
-}  // namespace
-
-bool ShouldSampleItem(const SelectorOptions& options, size_t num_reviews) {
-  return options.min_tier == QualityTier::kSampled &&
-         options.sample_threshold > 0 &&
-         num_reviews > options.sample_threshold && options.sample_size > 0 &&
-         options.sample_size < num_reviews;
-}
-
-std::vector<size_t> SampleReviewIndices(const SelectorOptions& options,
-                                        size_t item, size_t num_reviews) {
-  // Knuth-multiplicative stream separation: one request seed, one
-  // independent draw per item, stable across thread counts.
-  Rng rng(options.seed, item * 2654435761ull + 0x51edu);
-  std::vector<size_t> sample = rng.SampleWithoutReplacement(
-      num_reviews, std::min(options.sample_size, num_reviews));
-  std::sort(sample.begin(), sample.end());
-  return sample;
-}
-
-RestrictedSystem RestrictToSample(std::shared_ptr<const DesignSystem> full,
-                                  const std::vector<size_t>& sample,
-                                  size_t m) {
-  DesignSystem restricted;
-  double mass = RestrictCore(*full, sample, m, &restricted);
-  if (mass == 0.0) return RestrictedSystem{std::move(full), 0.0, false};
-  return RestrictedSystem{
-      std::make_shared<const DesignSystem>(std::move(restricted)), mass, true};
-}
-
-RestrictedSystem MaybeSampleSystem(std::shared_ptr<const DesignSystem> full,
+RestrictedSystem MaybeSampleSystem(DesignSystem full,
                                    const SelectorOptions& options, size_t item,
                                    size_t num_reviews) {
   if (!ShouldSampleItem(options, num_reviews)) {
@@ -101,21 +88,6 @@ RestrictedSystem MaybeSampleSystem(std::shared_ptr<const DesignSystem> full,
   std::vector<size_t> sample =
       SampleReviewIndices(options, item, num_reviews);
   return RestrictToSample(std::move(full), sample, options.m);
-}
-
-double RestrictSystemInPlace(DesignSystem* system,
-                             const SelectorOptions& options, size_t item,
-                             size_t num_reviews, bool* restricted) {
-  *restricted = false;
-  if (!ShouldSampleItem(options, num_reviews)) return 0.0;
-  std::vector<size_t> sample =
-      SampleReviewIndices(options, item, num_reviews);
-  DesignSystem out;
-  double mass = RestrictCore(*system, sample, options.m, &out);
-  if (mass == 0.0) return 0.0;
-  *system = std::move(out);
-  *restricted = true;
-  return mass;
 }
 
 void ApplySamplingOutcome(const std::vector<double>& uncovered,

@@ -10,10 +10,11 @@
 //
 //   * The sample is drawn at the DesignSystem level — the restricted
 //     system keeps the FULL target (the τ / λΓ rows depend only on the
-//     item, not on which reviews are candidates) and real review
-//     indices in its groups, so selections and the true-cost evaluation
-//     need no index translation and stay exact over the sampled
-//     candidate set.
+//     item, not on which reviews are candidates), so its normal
+//     equations are a principal submatrix of the full ones, and it
+//     keeps real review indices in its groups, so selections and the
+//     true-cost evaluation need no index translation and stay exact
+//     over the sampled candidate set.
 //   * A dedup group g (multiplicity c_g) is "covered" when the sample
 //     holds at least min(c_g, m) of its members: no budget <= m can
 //     then want more copies of g than the sample offers. The
@@ -29,7 +30,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "core/design_matrix.h"
@@ -53,7 +53,7 @@ std::vector<size_t> SampleReviewIndices(const SelectorOptions& options,
 struct RestrictedSystem {
   /// The system to solve: the restricted one, or the original `full`
   /// when the sample covered every group (the promotion path).
-  std::shared_ptr<const DesignSystem> system;
+  DesignSystem system;
   /// Fraction of the item's review mass in under-covered groups
   /// (the per-item gap bound); 0 exactly when not restricted.
   double uncovered_mass = 0.0;
@@ -63,30 +63,19 @@ struct RestrictedSystem {
 
 /// Restricts `full` to the sampled reviews: groups keep full-system
 /// order, their multiplicities and members shrink to the sampled
-/// subset, empty groups drop, and the Gram is rebuilt over the surviving
-/// columns against the unchanged target. `sample` must be sorted.
+/// subset, empty groups drop, and the normal equations become the
+/// principal submatrix of G (and the matching entries of Ṽᵀy) over the
+/// surviving groups; ‖y‖² is unchanged. `sample` must be sorted.
 /// `m` is the selection budget the coverage rule is relative to.
-RestrictedSystem RestrictToSample(std::shared_ptr<const DesignSystem> full,
+RestrictedSystem RestrictToSample(DesignSystem full,
                                   const std::vector<size_t>& sample, size_t m);
 
 /// One-stop per-item hook for the Gram-backed selectors: returns the
 /// system to solve plus the item's gap bound. Equals {full, 0, false}
 /// whenever ShouldSampleItem says no.
-RestrictedSystem MaybeSampleSystem(std::shared_ptr<const DesignSystem> full,
+RestrictedSystem MaybeSampleSystem(DesignSystem full,
                                    const SelectorOptions& options, size_t item,
                                    size_t num_reviews);
-
-/// Value-level variant for callers that own a mutable system and
-/// refresh its target across sweeps (CompaReSetS+): restricts *system
-/// in place when the item should sample and the sample is lossy.
-/// Returns the item's uncovered mass (0 when left unrestricted) and
-/// reports via *restricted whether the system was replaced. The
-/// restricted skeleton stays valid across RefreshDesignTarget calls —
-/// the draw depends only on (seed, item, review count), never on the
-/// evolving target.
-double RestrictSystemInPlace(DesignSystem* system,
-                             const SelectorOptions& options, size_t item,
-                             size_t num_reviews, bool* restricted);
 
 /// Folds per-item restriction outcomes into a SelectionResult: tier
 /// drops to kSampled and objective_gap becomes the largest per-item

@@ -140,19 +140,6 @@ class ReviewSelector {
   Result<SelectionResult> SelectTiered(const InstanceVectors& vectors,
                                        const SelectorOptions& options,
                                        const ExecControl* control) const;
-
-  /// Warms the instance's DesignSystemCache with every per-item system
-  /// a Select under these options would build on demand, assembled as
-  /// one batched Gram kernel pass instead of per-item builds. Purely a
-  /// performance hook for the engine's batch window: Select results are
-  /// bit-identical with or without it, and it is a no-op when the
-  /// instance carries no cache. Selectors with nothing cacheable keep
-  /// the empty default.
-  virtual void PrefetchSystems(const InstanceVectors& vectors,
-                               const SelectorOptions& options) const {
-    (void)vectors;
-    (void)options;
-  }
 };
 
 /// Factory by table name: "Random", "Crs", "CompaReSetSGreedy",

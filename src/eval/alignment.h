@@ -7,11 +7,14 @@
 
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "data/corpus.h"
 #include "opinion/vectors.h"
 #include "text/rouge.h"
+#include "text/tokenizer.h"
 
 namespace comparesets {
 
@@ -31,5 +34,42 @@ AlignmentScores MeasureAlignment(const ProblemInstance& instance,
 AlignmentScores MeasureAlignmentSubset(const ProblemInstance& instance,
                                        const std::vector<Selection>& selections,
                                        const std::vector<size_t>& items);
+
+/// Lazily filled, thread-safe memo of one instance's interned review
+/// documents, for serving many alignments of the same instance. Each
+/// (item, review) is tokenized, interned and given its match rows once,
+/// on the first selection that holds it; ids come from one interner per
+/// instance. ROUGE depends only on token equality, so Measure returns
+/// bit for bit what MeasureAlignment returns on the same selections.
+class AlignmentDocumentMemo {
+ public:
+  /// `instance` must outlive the memo.
+  explicit AlignmentDocumentMemo(const ProblemInstance& instance);
+
+  /// How many of one call's documents were built and how many reused.
+  struct Use {
+    size_t built = 0;
+    size_t reused = 0;
+  };
+
+  /// MeasureAlignment(instance, selections) from the memo, building the
+  /// documents it lacks. `use` (optional) receives the build/reuse split.
+  AlignmentScores Measure(const std::vector<Selection>& selections,
+                          Use* use = nullptr) const;
+
+  /// Footprint of the documents and the dictionary built so far.
+  size_t ApproxMemoryBytes() const;
+
+ private:
+  const ProblemInstance* instance_;
+  /// first_slot_[i] + review is the slot of (item i, review).
+  std::vector<size_t> first_slot_;
+  mutable std::mutex mutex_;
+  mutable TokenInterner interner_;
+  /// Built documents never change or move, so scoring reads them
+  /// outside the lock.
+  mutable std::vector<std::unique_ptr<const InternedDocument>> docs_;
+  mutable size_t doc_bytes_ = 0;
+};
 
 }  // namespace comparesets

@@ -1,7 +1,6 @@
 #include "linalg/gram.h"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "linalg/kernels/kernels.h"
 #include "linalg/workspace.h"
@@ -48,53 +47,6 @@ GramSystem BuildGramSystem(const SparseMatrix& v, const Vector& target,
     kernels.scatter_clear(rows, nnz, scatter);
   }
   return out;
-}
-
-std::vector<GramSystem> BuildGramSystemBatch(
-    const std::vector<GramBuildItem>& items, SolverWorkspace* workspace) {
-  const KernelDispatch& kernels = Kernels();
-  SolverWorkspace& ws =
-      workspace != nullptr ? *workspace : SolverWorkspace::ThreadLocal();
-  std::vector<GramSystem> out;
-  out.reserve(items.size());
-  // First build per distinct design matrix; later repeats share its G.
-  std::unordered_map<const SparseMatrix*, size_t> first_build;
-  for (const GramBuildItem& item : items) {
-    COMPARESETS_CHECK(item.v != nullptr && item.target != nullptr)
-        << "gram batch item missing matrix or target";
-    auto it = first_build.find(item.v);
-    if (it == first_build.end()) {
-      first_build.emplace(item.v, out.size());
-      out.push_back(BuildGramSystem(*item.v, *item.target, &ws));
-      continue;
-    }
-    const SparseMatrix& v = *item.v;
-    const Vector& target = *item.target;
-    COMPARESETS_CHECK(target.size() == v.rows())
-        << "gram target size mismatch";
-    const GramSystem& head = out[it->second];
-    GramSystem g;
-    g.gram = head.gram;
-    g.col_norms = head.col_norms;
-    g.vty = Vector(v.cols());
-    // Vᵀy for the new target in one kernel pass; each column's gather
-    // reduction is exactly the solo build's, so the bits match.
-    kernels.sparse_gemv_t(v.ColPtr(), v.RowIdx(), v.Values(), v.cols(),
-                          target.raw(), g.vty.raw());
-    g.target_norm2 = kernels.dot(target.raw(), target.raw(), target.size());
-    out.push_back(std::move(g));
-  }
-  return out;
-}
-
-GramSystem GramSystem::Build(const SparseMatrix& v, const Vector& target,
-                             SolverWorkspace* workspace) {
-  return BuildGramSystem(v, target, workspace);
-}
-
-std::vector<GramSystem> GramSystem::BuildBatch(
-    const std::vector<GramBuildItem>& items, SolverWorkspace* workspace) {
-  return BuildGramSystemBatch(items, workspace);
 }
 
 }  // namespace comparesets

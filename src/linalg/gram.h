@@ -8,11 +8,15 @@
 // and the per-refit O(rows · k²) QR with O(q·k) scoring and O(k²)
 // Cholesky updates.
 //
-// A GramSystem is immutable after BuildGramSystem returns: solvers only
-// read it, so one instance is safely shared by every lane of a parallel
-// per-product sweep (docs/execution-model.md) and by every cached
-// DesignSystem handed out by service/vector_cache.h. All mutable solver
-// state lives in SolverWorkspace (linalg/workspace.h) instead.
+// The serving path never materializes V: core/design_matrix.h assembles
+// each item's GramSystem from λ/μ-free blocks. BuildGramSystem is the
+// general sparse builder, kept for callers that do hold a V (the
+// test-side materialized design oracle among them).
+//
+// A GramSystem is immutable once built: solvers only read it, so one
+// instance is safely shared by every lane of a parallel per-product
+// sweep (docs/execution-model.md). All mutable solver state lives in
+// SolverWorkspace (linalg/workspace.h) instead.
 
 #pragma once
 
@@ -25,15 +29,6 @@
 namespace comparesets {
 
 struct SolverWorkspace;
-struct GramSystem;
-
-/// One (matrix, target) pair of a batched Gram build. Pointers must
-/// outlive the BuildBatch call; repeating the same `v` pointer marks
-/// problems that share a design matrix.
-struct GramBuildItem {
-  const SparseMatrix* v = nullptr;
-  const Vector* target = nullptr;
-};
 
 struct GramSystem {
   /// G = VᵀV (q×q, symmetric, dense — q is the deduplicated group count).
@@ -46,20 +41,6 @@ struct GramSystem {
   std::vector<double> col_norms;
 
   size_t cols() const { return gram.cols(); }
-
-  /// Approximate heap footprint (entries only, for cache accounting).
-  size_t ApproxMemoryBytes() const {
-    return (gram.rows() * gram.cols() + vty.size() + col_norms.size()) *
-           sizeof(double);
-  }
-
-  /// BuildGramSystem as a named constructor.
-  static GramSystem Build(const SparseMatrix& v, const Vector& target,
-                          SolverWorkspace* workspace = nullptr);
-  /// BuildGramSystemBatch as a named constructor.
-  static std::vector<GramSystem> BuildBatch(
-      const std::vector<GramBuildItem>& items,
-      SolverWorkspace* workspace = nullptr);
 };
 
 /// Builds G, Vᵀy, ‖y‖² and the column norms in one O(q · nnz) pass of
@@ -68,15 +49,5 @@ struct GramSystem {
 /// scatter buffer, so back-to-back builds allocate nothing.
 GramSystem BuildGramSystem(const SparseMatrix& v, const Vector& target,
                            SolverWorkspace* workspace = nullptr);
-
-/// Builds every item's GramSystem in one pass over a shared workspace.
-/// Items repeating an earlier item's `v` pointer reuse its G and column
-/// norms outright and get their Vᵀy in a single sparse_gemv_t kernel
-/// pass — O(nnz) per extra target instead of O(q · nnz). Results are
-/// bit-identical to calling BuildGramSystem per item (same kernels,
-/// same order, per column).
-std::vector<GramSystem> BuildGramSystemBatch(
-    const std::vector<GramBuildItem>& items,
-    SolverWorkspace* workspace = nullptr);
 
 }  // namespace comparesets

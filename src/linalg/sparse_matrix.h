@@ -81,12 +81,6 @@ class SparseMatrix {
   /// L2 norm of every column, without materializing Column(j) copies.
   std::vector<double> ColumnNorms() const;
 
-  /// Approximate heap footprint (entries only, for cache accounting).
-  size_t ApproxMemoryBytes() const {
-    return col_ptr_.size() * sizeof(size_t) +
-           row_idx_.size() * sizeof(size_t) + values_.size() * sizeof(double);
-  }
-
  private:
   size_t rows_ = 0;
   /// col_ptr_[c]..col_ptr_[c+1] indexes column c's entries; one past the

@@ -11,7 +11,7 @@
 
 namespace comparesets {
 
-class DesignSystemCache;
+class ItemBlockCache;
 
 /// A selected review subset, as indices into Product::reviews.
 using Selection = std::vector<size_t>;
@@ -35,11 +35,11 @@ struct InstanceVectors {
   /// Per item, per review: 0/1 aspect design column.
   std::vector<std::vector<Vector>> aspect_columns;
 
-  /// Optional memo of built design systems (sparse Ṽ + Gram block),
-  /// owned by the service layer's PreparedInstance; nullptr (the default
-  /// everywhere else) builds systems per call. See GetOrBuild*System in
+  /// Optional memo of the per-item design blocks, owned by the service
+  /// layer's PreparedInstance; nullptr (the default everywhere else)
+  /// builds them per call. See GetOrBuildItemBlocks in
   /// core/design_matrix.h.
-  const DesignSystemCache* system_cache = nullptr;
+  const ItemBlockCache* block_cache = nullptr;
 
   size_t num_items() const { return instance->num_items(); }
   size_t num_reviews(size_t item) const {

@@ -350,11 +350,16 @@ SelectResponse SelectionEngine::AssembleResponse(
   trace->objective_gap = response.objective_gap;
   if (options_.measure_alignment) {
     // A histogram, not a trace span: spans are summed as solver time.
+    // Scored from the instance's document memo, so a warm instance
+    // skips tokenize, intern and match-row builds (same bits).
     Timer alignment_timer;
+    AlignmentDocumentMemo::Use use;
     response.alignment =
-        MeasureAlignment(bundle.instance, response.selections);
+        bundle.alignment_docs->Measure(response.selections, &use);
     metrics_.histogram("engine.alignment_seconds")
         .Observe(alignment_timer.ElapsedSeconds());
+    metrics_.counter("engine.alignment_docs_built").Increment(use.built);
+    metrics_.counter("engine.alignment_docs_reused").Increment(use.reused);
   }
   response.cache_hit = cache_hit;
   response.prepare_seconds = prepare_seconds;
@@ -576,30 +581,20 @@ void SelectionEngine::PrefetchWindow(
     corpus = corpus_;
     epoch = corpus_epoch_;
   }
-  // One warm-up per unique (instance, selector, λ): Prepare stages the
-  // vectors under the same key the request will look up, and the
-  // selector's PrefetchSystems fills the instance's design-system cache
-  // in one batched Gram kernel pass. Requests arriving after a
-  // mid-batch Publish read a newer epoch and simply miss cold —
-  // never a stale answer.
+  // One warm-up per unique instance: Prepare stages the vectors under
+  // the same key the request will look up. (The per-item design blocks
+  // are λ/μ-free and fill lazily inside the solve's parallel item
+  // lanes, so there is no per-selector work left to stage.) Requests
+  // arriving after a mid-batch Publish read a newer epoch and simply
+  // miss cold — never a stale answer.
   std::unordered_set<std::string> warmed;
   for (size_t i = begin; i < end; ++i) {
     const SelectRequest& request = requests[i];
     if (request.target_id.empty()) continue;
     std::string prepare_key = CacheKey(epoch, options_.opinion, request);
-    std::string warm_key = prepare_key;
-    warm_key += '\x1f';
-    warm_key += request.selector;
-    warm_key += '\x1f';
-    warm_key += ExactDouble(request.options.lambda);
-    if (!warmed.insert(std::move(warm_key)).second) continue;
+    if (!warmed.insert(prepare_key).second) continue;
     bool cache_hit = false;
-    auto prepared = Prepare(corpus, prepare_key, request, &cache_hit);
-    if (!prepared.ok()) continue;
-    auto selector = MakeSelector(request.selector);
-    if (!selector.ok()) continue;
-    selector.value()->PrefetchSystems(prepared.value()->vectors,
-                                      request.options);
+    if (!Prepare(corpus, prepare_key, request, &cache_hit).ok()) continue;
     metrics_.counter("engine.batch_prefetches").Increment();
   }
 }

@@ -115,14 +115,12 @@ struct EngineOptions {
   /// Deterministic fault injection at the engine's seams (tests /
   /// chaos drills); nullptr = no faults.
   std::shared_ptr<FaultInjector> fault_injector;
-  /// Cross-request batched-kernel window for SelectBatch (0 or 1 =
-  /// off). Consecutive requests are staged in windows of this size:
-  /// each window snapshots the corpus epoch once, prepares its unique
-  /// instances, and builds their per-item design systems in one batched
-  /// Gram kernel pass (GramSystem::BuildBatch via the selector's
-  /// PrefetchSystems hook) before any request in the window solves;
-  /// exact repeats inside a pooled window coalesce onto one lane so
-  /// they deterministically memo-hit their head. Purely a scheduling /
+  /// Cross-request batch window for SelectBatch (0 or 1 = off).
+  /// Consecutive requests are staged in windows of this size: each
+  /// window snapshots the corpus epoch once and prepares its unique
+  /// instances before any request in the window solves; exact repeats
+  /// inside a pooled window coalesce onto one lane so they
+  /// deterministically memo-hit their head. Purely a scheduling /
   /// locality knob: every response payload is bit-identical to the
   /// unwindowed path (warm-state flags differ — prefetched requests
   /// report cache_hit = true).
@@ -372,9 +370,8 @@ class SelectionEngine {
                                          RequestTrace* trace) const;
 
   /// Warm-up for one batch window [begin, end): prepares every unique
-  /// (instance, selector, λ) combination once and batch-builds its
-  /// per-item design systems (one Gram kernel pass per combination).
-  /// Failures are silent — the requests themselves surface them.
+  /// instance once. Failures are silent — the requests themselves
+  /// surface them.
   void PrefetchWindow(const std::vector<SelectRequest>& requests, size_t begin,
                       size_t end) const;
 

@@ -7,15 +7,18 @@ namespace comparesets {
 std::shared_ptr<const PreparedInstance> PreparedInstance::Create(
     std::shared_ptr<const IndexedCorpus> corpus, ProblemInstance instance,
     const OpinionModel& model) {
-  // Wire in two steps: the bundle's own `instance` and `systems` must be
-  // at their final addresses before BuildInstanceVectors captures a
-  // pointer to the former and vectors.system_cache points at the latter.
+  // Wire in two steps: the bundle's own `instance` must be at its final
+  // address before BuildInstanceVectors and the alignment memo capture
+  // pointers to it, and vectors.block_cache points into the bundle too.
+  size_t items = instance.num_items();
   auto bundle = std::make_shared<PreparedInstance>(PreparedInstance{
       std::move(corpus), std::move(instance),
       InstanceVectors{model, nullptr, {}, {}, {}, {}},
-      std::make_unique<DesignSystemCache>()});
+      std::make_unique<ItemBlockCache>(items), nullptr});
   bundle->vectors = BuildInstanceVectors(model, bundle->instance);
-  bundle->vectors.system_cache = bundle->systems.get();
+  bundle->vectors.block_cache = bundle->blocks.get();
+  bundle->alignment_docs =
+      std::make_unique<AlignmentDocumentMemo>(bundle->instance);
   return bundle;
 }
 
@@ -72,10 +75,10 @@ VectorCacheStats VectorCache::Stats() const {
   stats.evictions = evictions_;
   stats.entries = lru_.size();
   for (const Entry& entry : lru_) {
-    stats.approx_bytes += entry.value->vectors.ApproxMemoryBytes();
-    if (entry.value->systems != nullptr) {
-      stats.approx_bytes += entry.value->systems->ApproxMemoryBytes();
-    }
+    const PreparedInstance& bundle = *entry.value;
+    stats.approx_bytes += bundle.vectors.ApproxMemoryBytes() +
+                          bundle.blocks->ApproxMemoryBytes() +
+                          bundle.alignment_docs->ApproxMemoryBytes();
   }
   return stats;
 }

@@ -12,11 +12,12 @@
 // Concurrency contract (docs/execution-model.md): the cache itself is
 // mutex-guarded, and a handed-out bundle is safe for any number of
 // concurrent readers — including the lanes of one request's
-// intra-request fan-out. The only mutation behind a bundle is the lazy
-// design-system memo (DesignSystemCache), which takes its own lock and
-// memoizes values that are pure functions of the immutable vectors, so
-// racing lanes at worst build the same system twice and keep one;
-// results are unaffected either way.
+// intra-request fan-out. The only mutations behind a bundle are two
+// lazy memos, each behind its own lock: the per-item design blocks
+// (ItemBlockCache), pure functions of the immutable vectors, so racing
+// lanes at worst build the same blocks twice and keep one; and the
+// alignment documents (AlignmentDocumentMemo), built once per review
+// under the memo's lock. Results are unaffected either way.
 
 #pragma once
 
@@ -28,6 +29,7 @@
 #include <unordered_map>
 
 #include "core/design_matrix.h"
+#include "eval/alignment.h"
 #include "opinion/vectors.h"
 #include "service/indexed_corpus.h"
 
@@ -37,20 +39,22 @@ namespace comparesets {
 /// layer a selector needs: the corpus snapshot (kept alive across
 /// catalog swaps), the instance (whose Product pointers reach into the
 /// snapshot), the derived vectors (whose `instance` pointer reaches
-/// into this same bundle), and a memo of built design systems (sparse
-/// Ṽ + Gram block, reached through vectors.system_cache). Never moved
-/// after wiring — always heap-allocated behind shared_ptr.
+/// into this same bundle), the λ/μ-free per-item design blocks (reached
+/// through vectors.block_cache), and the interned alignment documents.
+/// Never moved after wiring — always heap-allocated behind shared_ptr.
 struct PreparedInstance {
   std::shared_ptr<const IndexedCorpus> corpus;
   ProblemInstance instance;
   InstanceVectors vectors;
-  /// Per-instance design-system memo; selectors fill it lazily through
-  /// GetOrBuild*System. Heap-held so the bundle stays movable while the
-  /// cache's mutex stays put.
-  std::unique_ptr<DesignSystemCache> systems;
+  /// Per-item design blocks; selectors fill it lazily through
+  /// GetOrBuildItemBlocks. Heap-held, like the memo below, so the
+  /// bundle stays movable while the mutexes stay put.
+  std::unique_ptr<ItemBlockCache> blocks;
+  /// Per-review interned documents; the engine scores alignment from it.
+  std::unique_ptr<AlignmentDocumentMemo> alignment_docs;
 
-  /// Allocates a bundle and wires vectors.instance / vectors.system_cache
-  /// to the owned members.
+  /// Allocates a bundle and wires vectors.instance / vectors.block_cache
+  /// and the alignment memo to the owned members.
   static std::shared_ptr<const PreparedInstance> Create(
       std::shared_ptr<const IndexedCorpus> corpus, ProblemInstance instance,
       const OpinionModel& model);
@@ -62,7 +66,8 @@ struct VectorCacheStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;
   size_t entries = 0;
-  /// Sum of cached footprints: InstanceVectors plus memoized systems.
+  /// Sum of cached footprints: InstanceVectors plus the built item
+  /// blocks and alignment documents.
   size_t approx_bytes = 0;
 };
 

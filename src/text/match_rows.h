@@ -40,6 +40,11 @@ class MatchRows {
   /// The distinct ids of the sequence, ascending, with their counts.
   const GramCounts<uint32_t>& unigrams() const { return unigrams_; }
   const uint64_t* row(size_t k) const { return rows_.data() + k * words_; }
+  /// Approximate heap footprint (for cache accounting).
+  size_t ApproxMemoryBytes() const {
+    return unigrams_.size() * sizeof(GramCount<uint32_t>) +
+           rows_.size() * sizeof(uint64_t);
+  }
 
  private:
   size_t length_ = 0;

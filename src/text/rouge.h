@@ -34,8 +34,8 @@ struct RougeTriple {
   RougeTriple& operator/=(double denom);
 };
 
-/// One tokenized document ready for repeated ROUGE scoring within one
-/// call: its token ids, its match rows (which carry its unigram
+/// One tokenized document ready for repeated ROUGE scoring: its token
+/// ids, its match rows (which carry its unigram
 /// multiset) and its bigram multiset. Documents scored against each
 /// other must take their ids from one TokenInterner.
 class InternedDocument {
@@ -46,6 +46,11 @@ class InternedDocument {
   const MatchRows& rows() const { return rows_; }
   const GramCounts<uint32_t>& unigrams() const { return rows_.unigrams(); }
   const GramCounts<uint64_t>& bigrams() const { return bigrams_; }
+  /// Approximate heap footprint (for cache accounting).
+  size_t ApproxMemoryBytes() const {
+    return ids_.size() * sizeof(uint32_t) + rows_.ApproxMemoryBytes() +
+           bigrams_.size() * sizeof(GramCount<uint64_t>);
+  }
 
  private:
   std::vector<uint32_t> ids_;

@@ -86,6 +86,14 @@ uint32_t TokenInterner::Intern(std::string_view token) {
   }
 }
 
+size_t TokenInterner::ApproxMemoryBytes() const {
+  size_t bytes = slots_.size() * sizeof(uint32_t);
+  for (const std::string& token : tokens_) {
+    bytes += sizeof(token) + token.size();
+  }
+  return bytes;
+}
+
 void TokenInterner::Grow() {
   slots_.assign(std::max<size_t>(64, 2 * slots_.size()), 0);
   const size_t mask = slots_.size() - 1;

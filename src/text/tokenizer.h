@@ -31,8 +31,9 @@ std::vector<std::string> Tokenize(std::string_view text,
 
 /// Maps tokens to dense ids 0, 1, 2, ... in first-seen order. ROUGE
 /// counts depend only on token equality, so ids need only be consistent
-/// among the documents one interner saw: scoring interns per call and
-/// drops the dictionary with it.
+/// among the documents one interner saw: a one-off scoring call interns
+/// per call and drops the dictionary with it, while a served instance
+/// keeps one interner for all of its reviews (eval/alignment.h).
 class TokenInterner {
  public:
   uint32_t Intern(std::string_view token);
@@ -40,6 +41,8 @@ class TokenInterner {
 
   /// Number of distinct tokens seen; every id is below it.
   size_t size() const { return tokens_.size(); }
+  /// Approximate heap footprint (for cache accounting).
+  size_t ApproxMemoryBytes() const;
 
  private:
   /// Doubles the slot table and re-inserts every id.

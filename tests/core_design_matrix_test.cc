@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/materialized_design.h"
 #include "test_fixtures.h"
 
 namespace comparesets {
@@ -19,27 +20,32 @@ class DesignMatrixTest : public ::testing::Test {
   InstanceVectors vectors_;
 };
 
-TEST_F(DesignMatrixTest, CrsSystemShape) {
+TEST_F(DesignMatrixTest, CrsSystemTargetsOpinionsOnly) {
   DesignSystem system = BuildCrsSystem(vectors_, 0);
-  EXPECT_EQ(system.v.rows(), 10u);  // 2z opinion rows only.
-  EXPECT_EQ(system.target.size(), 10u);
-  EXPECT_TRUE(system.target.AlmostEquals(vectors_.tau[0]));
+  EXPECT_DOUBLE_EQ(system.gram.target_norm2,
+                   vectors_.tau[0].Dot(vectors_.tau[0]));
+  ASSERT_EQ(system.gram.vty.size(), system.cols());
+  for (size_t g = 0; g < system.cols(); ++g) {
+    size_t review = system.group_reviews[g][0];
+    EXPECT_DOUBLE_EQ(system.gram.vty[g],
+                     vectors_.opinion_columns[0][review].Dot(vectors_.tau[0]));
+  }
 }
 
-TEST_F(DesignMatrixTest, CompareSetsSystemShapeAndTarget) {
+TEST_F(DesignMatrixTest, CompareSetsTargetNormAddsWeightedGamma) {
   double lambda = 2.0;
   DesignSystem system = BuildCompareSetsSystem(vectors_, 0, lambda);
-  EXPECT_EQ(system.v.rows(), 15u);  // 2z + z.
-  Vector expected = vectors_.tau[0];
-  expected.AppendScaled(lambda, vectors_.gamma);
-  EXPECT_TRUE(system.target.AlmostEquals(expected));
+  EXPECT_DOUBLE_EQ(system.gram.target_norm2,
+                   vectors_.tau[0].Dot(vectors_.tau[0]) +
+                       lambda * lambda * vectors_.gamma.Dot(vectors_.gamma));
 }
 
 TEST_F(DesignMatrixTest, DeduplicationMergesIdenticalReviews) {
   // The working-example target has two identical triples: r1≡r4, r2≡r5,
   // r3≡r6 → exactly 3 deduplicated column groups of multiplicity 2.
   DesignSystem system = BuildCompareSetsSystem(vectors_, 0, 1.0);
-  EXPECT_EQ(system.v.cols(), 3u);
+  EXPECT_EQ(system.cols(), 3u);
+  EXPECT_EQ(system.gram.cols(), 3u);
   for (int count : system.dup_counts) EXPECT_EQ(count, 2);
   size_t total_reviews = 0;
   for (const auto& group : system.group_reviews) {
@@ -48,69 +54,63 @@ TEST_F(DesignMatrixTest, DeduplicationMergesIdenticalReviews) {
   EXPECT_EQ(total_reviews, 6u);
 }
 
-TEST_F(DesignMatrixTest, GroupReviewsIndexRealReviews) {
-  DesignSystem system = BuildCompareSetsSystem(vectors_, 0, 1.0);
+TEST_F(DesignMatrixTest, GroupReviewsShareOneSignature) {
+  ItemBlocks blocks = BuildItemBlocks(vectors_, 0);
   const Product& target = *instance_.items[0];
-  for (size_t g = 0; g < system.group_reviews.size(); ++g) {
-    Vector representative = system.v.Column(g);
-    for (size_t review_index : system.group_reviews[g]) {
+  for (size_t g = 0; g < blocks.pair_groups(); ++g) {
+    size_t head = blocks.group_reviews[g][0];
+    for (size_t review_index : blocks.group_reviews[g]) {
       ASSERT_LT(review_index, target.reviews.size());
-      // Every member of the group must produce the same column.
-      Vector column =
-          vectors_.opinion_columns[0][review_index];
-      column.AppendScaled(1.0, vectors_.aspect_columns[0][review_index]);
-      EXPECT_TRUE(column.AlmostEquals(representative)) << "group " << g;
+      EXPECT_EQ(vectors_.opinion_columns[0][review_index],
+                vectors_.opinion_columns[0][head])
+          << "group " << g;
+      EXPECT_EQ(vectors_.aspect_columns[0][review_index],
+                vectors_.aspect_columns[0][head])
+          << "group " << g;
     }
   }
 }
 
-TEST_F(DesignMatrixTest, LambdaScalesAspectRowsOnly) {
+TEST_F(DesignMatrixTest, LambdaWeighsTheAspectGramOnly) {
+  // G(λ) = G_op + λ²·G_asp: going from λ = 1 to λ = 3 adds 8·G_asp.
+  ItemBlocks blocks = BuildItemBlocks(vectors_, 0);
   DesignSystem unscaled = BuildCompareSetsSystem(vectors_, 0, 1.0);
   DesignSystem scaled = BuildCompareSetsSystem(vectors_, 0, 3.0);
-  ASSERT_EQ(unscaled.v.cols(), scaled.v.cols());
-  for (size_t c = 0; c < unscaled.v.cols(); ++c) {
-    for (size_t r = 0; r < 10; ++r) {  // Opinion rows unchanged.
-      EXPECT_DOUBLE_EQ(unscaled.v(r, c), scaled.v(r, c));
-    }
-    for (size_t r = 10; r < 15; ++r) {  // Aspect rows scaled by 3.
-      EXPECT_DOUBLE_EQ(3.0 * unscaled.v(r, c), scaled.v(r, c));
+  ASSERT_EQ(unscaled.cols(), scaled.cols());
+  for (size_t g = 0; g < scaled.cols(); ++g) {
+    for (size_t h = 0; h <= g; ++h) {
+      double aspect = blocks.gram_aspect[g * (g + 1) / 2 + h];
+      EXPECT_DOUBLE_EQ(scaled.gram.gram(g, h) - unscaled.gram.gram(g, h),
+                       8.0 * aspect);
     }
   }
 }
 
-TEST_F(DesignMatrixTest, PlusSystemShapeWithOtherItems) {
+TEST_F(DesignMatrixTest, PlusSystemStacksOneMuBlockPerOtherItem) {
   std::vector<Vector> other_phis = {vectors_.AspectOf(1, {0, 1}),
                                     vectors_.AspectOf(2, {0})};
-  double lambda = 1.0;
   double mu = 0.5;
-  DesignSystem system =
-      BuildCompareSetsPlusSystem(vectors_, 0, lambda, mu, other_phis);
-  // Rows: 2z (opinions) + z (Γ block) + 2·z (two other-item blocks).
-  EXPECT_EQ(system.v.rows(), 10u + 5u + 10u);
-  EXPECT_EQ(system.target.size(), system.v.rows());
-
-  // Target tail blocks must be the μ-scaled other φ's, in order.
-  for (size_t a = 0; a < 5; ++a) {
-    EXPECT_DOUBLE_EQ(system.target[15 + a], mu * other_phis[0][a]);
-    EXPECT_DOUBLE_EQ(system.target[20 + a], mu * other_phis[1][a]);
-  }
-}
-
-TEST_F(DesignMatrixTest, PlusSystemRepeatsAspectBlockScaledByMu) {
-  std::vector<Vector> other_phis = {vectors_.AspectOf(1, {0}),
-                                    vectors_.AspectOf(2, {0})};
-  double mu = 0.25;
-  DesignSystem system =
+  ItemBlocks blocks = BuildItemBlocks(vectors_, 0);
+  DesignSystem plus =
       BuildCompareSetsPlusSystem(vectors_, 0, 1.0, mu, other_phis);
-  for (size_t c = 0; c < system.v.cols(); ++c) {
-    for (size_t a = 0; a < 5; ++a) {
-      double lambda_block = system.v(10 + a, c);   // λ = 1 block.
-      double mu_block_1 = system.v(15 + a, c);
-      double mu_block_2 = system.v(20 + a, c);
-      EXPECT_DOUBLE_EQ(mu_block_1, mu * lambda_block);
-      EXPECT_DOUBLE_EQ(mu_block_2, mu * lambda_block);
-    }
+  DesignSystem plain = BuildCompareSetsSystem(vectors_, 0, 1.0);
+  ASSERT_EQ(plus.cols(), plain.cols());
+  Vector phi_sum = other_phis[0];
+  for (size_t a = 0; a < phi_sum.size(); ++a) phi_sum[a] += other_phis[1][a];
+  for (size_t g = 0; g < plus.cols(); ++g) {
+    // Two other items: G gains 2μ²·G_asp, Ṽᵀy gains μ²·a_gᵀ(φ_1 + φ_2).
+    double aspect = blocks.gram_aspect[g * (g + 1) / 2 + g];
+    EXPECT_DOUBLE_EQ(plus.gram.gram(g, g) - plain.gram.gram(g, g),
+                     2.0 * mu * mu * aspect);
+    size_t review = plus.group_reviews[g][0];
+    EXPECT_NEAR(plus.gram.vty[g] - plain.gram.vty[g],
+                mu * mu * vectors_.aspect_columns[0][review].Dot(phi_sum),
+                1e-12);
   }
+  EXPECT_NEAR(plus.gram.target_norm2 - plain.gram.target_norm2,
+              mu * mu * (other_phis[0].Dot(other_phis[0]) +
+                         other_phis[1].Dot(other_phis[1])),
+              1e-12);
 }
 
 TEST_F(DesignMatrixTest, PlusSystemRejectsWrongPhiCount) {
@@ -121,15 +121,49 @@ TEST_F(DesignMatrixTest, PlusSystemRejectsWrongPhiCount) {
 }
 
 TEST_F(DesignMatrixTest, ZeroLambdaCollapsesToOpinionMatching) {
-  DesignSystem system = BuildCompareSetsSystem(vectors_, 0, 0.0);
-  for (size_t c = 0; c < system.v.cols(); ++c) {
-    for (size_t r = 10; r < 15; ++r) {
-      EXPECT_DOUBLE_EQ(system.v(r, c), 0.0);
+  DesignSystem zero = BuildCompareSetsSystem(vectors_, 0, 0.0);
+  DesignSystem crs = BuildCrsSystem(vectors_, 0);
+  EXPECT_EQ(zero.dup_counts, crs.dup_counts);
+  EXPECT_EQ(zero.group_reviews, crs.group_reviews);
+  EXPECT_EQ(zero.gram.gram, crs.gram.gram);
+  EXPECT_EQ(zero.gram.vty, crs.gram.vty);
+  EXPECT_EQ(zero.gram.target_norm2, crs.gram.target_norm2);
+}
+
+TEST_F(DesignMatrixTest, AssemblyMatchesMaterializedBuilder) {
+  for (size_t item = 0; item < vectors_.num_items(); ++item) {
+    oracle::MaterializedSystem reference =
+        oracle::BuildCompareSetsSystem(vectors_, item, 1.0);
+    DesignSystem assembled = BuildCompareSetsSystem(vectors_, item, 1.0);
+    EXPECT_EQ(assembled.dup_counts, reference.dup_counts);
+    EXPECT_EQ(assembled.group_reviews, reference.group_reviews);
+    ASSERT_EQ(assembled.cols(), reference.gram.cols());
+    for (size_t g = 0; g < assembled.cols(); ++g) {
+      for (size_t h = 0; h < assembled.cols(); ++h) {
+        EXPECT_NEAR(assembled.gram.gram(g, h), reference.gram.gram(g, h),
+                    1e-12);
+      }
+      EXPECT_NEAR(assembled.gram.vty[g], reference.gram.vty[g], 1e-12);
     }
+    EXPECT_NEAR(assembled.gram.target_norm2, reference.gram.target_norm2,
+                1e-12);
   }
-  for (size_t r = 10; r < 15; ++r) {
-    EXPECT_DOUBLE_EQ(system.target[r], 0.0);
-  }
+}
+
+TEST_F(DesignMatrixTest, BlockCacheServesOneBuildPerItem) {
+  ItemBlockCache cache(vectors_.num_items());
+  InstanceVectors cached = vectors_;
+  cached.block_cache = &cache;
+  EXPECT_EQ(cache.ApproxMemoryBytes(), 0u);
+  auto first = GetOrBuildItemBlocks(cached, 1);
+  auto again = GetOrBuildItemBlocks(cached, 1);
+  EXPECT_EQ(first.get(), again.get());
+  EXPECT_EQ(cache.ApproxMemoryBytes(), first->ApproxMemoryBytes());
+  EXPECT_GT(cache.ApproxMemoryBytes(), 0u);
+  // Uncached vectors build a fresh, equal value per call.
+  auto fresh = GetOrBuildItemBlocks(vectors_, 1);
+  EXPECT_NE(fresh.get(), first.get());
+  EXPECT_EQ(fresh->gram_opinion, first->gram_opinion);
 }
 
 }  // namespace

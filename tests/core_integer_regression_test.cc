@@ -7,7 +7,9 @@
 #include <set>
 
 #include "eval/objective.h"
+#include "oracle/integer_rounding.h"
 #include "test_fixtures.h"
+#include "util/rng.h"
 
 namespace comparesets {
 namespace {
@@ -87,6 +89,42 @@ TEST(RoundingTest, HugeBudgetMatchesCapTotal) {
   std::vector<int> at_cap_total = RoundToIntegerCounts(x, caps, 10);
   EXPECT_EQ(RoundToIntegerCounts(x, caps, SIZE_MAX), at_cap_total);
   EXPECT_EQ(RoundToIntegerCounts(x, caps, 11), at_cap_total);
+}
+
+TEST(RoundingTest, MatchesAllocatingReferenceExactly) {
+  // The buffer-reusing, partial-sort rounding must return exactly what
+  // the original allocate-and-stable_sort body returns. x is drawn from
+  // a few small multiples of 1/4 (and zeros), so equal remainders — the
+  // tie-break the two sorts must agree on — come up constantly.
+  Rng rng(2024);
+  for (int trial = 0; trial < 600; ++trial) {
+    size_t q = 1 + static_cast<size_t>(rng.UniformInt(0, 63));
+    if (trial % 3 == 0) q = 1 + static_cast<size_t>(rng.UniformInt(0, 11));
+    Vector x(q);
+    std::vector<int> caps(q);
+    size_t cap_total = 0;
+    for (size_t g = 0; g < q; ++g) {
+      x[g] = rng.Bernoulli(0.2) ? 0.0 : 0.25 * rng.UniformInt(1, 8);
+      caps[g] = rng.UniformInt(0, 5);
+      cap_total += static_cast<size_t>(caps[g]);
+    }
+    std::vector<size_t> totals;
+    if (q <= 12) {
+      for (size_t t = 0; t <= cap_total + 3; ++t) totals.push_back(t);
+    } else {
+      totals = {0, 1, 2, cap_total, cap_total + 1, cap_total + 3};
+      if (cap_total > 0) totals.push_back(cap_total - 1);
+      for (int k = 0; k < 6; ++k) {
+        totals.push_back(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int>(cap_total) + 3)));
+      }
+    }
+    for (size_t max_total : totals) {
+      EXPECT_EQ(RoundToIntegerCounts(x, caps, max_total),
+                oracle::RoundToIntegerCounts(x, caps, max_total))
+          << "trial " << trial << " q=" << q << " max_total=" << max_total;
+    }
+  }
 }
 
 // --- SolveIntegerRegression --------------------------------------------------

@@ -1,7 +1,8 @@
 // Randomized property tests pinning the sparse Gram/Cholesky solver
 // path to the dense reference oracle (tests/oracle/): identical supports
 // and selections, coefficients within 1e-10, on real CRS / CompaReSetS /
-// CompaReSetS+ systems. The selectors are also pinned to known answers
+// CompaReSetS+ systems (materialized by the oracle builder, so the dense
+// solvers see the stacked rows). The selectors are also pinned to known answers
 // recorded from the dense path. Also covers the non-convergence flag and
 // cancellation landing mid-solve between refits.
 
@@ -21,6 +22,7 @@
 #include "linalg/nnls.h"
 #include "linalg/nomp.h"
 #include "oracle/dense_solvers.h"
+#include "oracle/materialized_design.h"
 #include "util/cancellation.h"
 #include "util/rng.h"
 
@@ -38,7 +40,8 @@ Workload SmallWorkload() {
 
 /// Asserts SolveNomp (dense) and SolveNompGram agree on one system for
 /// every sparsity budget up to `max_ell`.
-void ExpectNompEquivalent(const DesignSystem& system, size_t max_ell,
+void ExpectNompEquivalent(const oracle::MaterializedSystem& system,
+                          size_t max_ell,
                           const char* label) {
   Matrix dense = system.v.ToDense();
   for (size_t ell = 1; ell <= max_ell; ++ell) {
@@ -68,7 +71,7 @@ TEST(SolverEquivalenceTest, NompGramMatchesDenseOnCrsSystems) {
   Workload workload = SmallWorkload();
   for (const InstanceVectors& vectors : workload.vectors()) {
     for (size_t item = 0; item < vectors.num_items(); ++item) {
-      DesignSystem system = BuildCrsSystem(vectors, item);
+      oracle::MaterializedSystem system = oracle::BuildCrsSystem(vectors, item);
       ExpectNompEquivalent(system, 5, "crs");
     }
   }
@@ -79,7 +82,8 @@ TEST(SolverEquivalenceTest, NompGramMatchesDenseOnCompareSetsSystems) {
   for (const InstanceVectors& vectors : workload.vectors()) {
     for (size_t item = 0; item < vectors.num_items(); ++item) {
       for (double lambda : {1.0, 0.5}) {
-        DesignSystem system = BuildCompareSetsSystem(vectors, item, lambda);
+        oracle::MaterializedSystem system =
+            oracle::BuildCompareSetsSystem(vectors, item, lambda);
         ExpectNompEquivalent(system, 5, "comparesets");
       }
     }
@@ -102,8 +106,8 @@ TEST(SolverEquivalenceTest, NompGramMatchesDenseOnCompareSetsPlusSystems) {
         }
         other_phis.push_back(vectors.AspectOf(t, prefix));
       }
-      DesignSystem system =
-          BuildCompareSetsPlusSystem(vectors, item, 1.0, 0.1, other_phis);
+      oracle::MaterializedSystem system = oracle::BuildCompareSetsPlusSystem(
+          vectors, item, 1.0, 0.1, other_phis);
       ExpectNompEquivalent(system, 4, "comparesets+");
     }
   }
@@ -150,9 +154,9 @@ TEST(SolverEquivalenceTest, NnlsGramMatchesDenseOnRandomProblems) {
 /// dense NOMP relaxation, then the library's public rounding, then an
 /// argmin of the true cost over the rounded candidates (first minimum
 /// wins, as in SolveIntegerRegression).
-IntegerRegressionResult DenseIntegerRegression(const DesignSystem& system,
-                                               size_t m,
-                                               const TrueCostFn& cost) {
+IntegerRegressionResult DenseIntegerRegression(
+    const oracle::MaterializedSystem& system, size_t m,
+    const TrueCostFn& cost) {
   IntegerRegressionResult best;
   best.cost = std::numeric_limits<double>::infinity();
   Matrix dense = system.v.ToDense();
@@ -187,8 +191,9 @@ TEST(SolverEquivalenceTest, IntegerRegressionBackendsPickIdenticalSelections) {
   };
   for (const InstanceVectors& vectors : workload.vectors()) {
     for (size_t item = 0; item < vectors.num_items(); ++item) {
-      DesignSystem system = BuildCompareSetsSystem(vectors, item, 1.0);
-      auto gram_run = SolveIntegerRegression(system, 3, cost);
+      oracle::MaterializedSystem system =
+          oracle::BuildCompareSetsSystem(vectors, item, 1.0);
+      auto gram_run = SolveIntegerRegression(system.AsDesignSystem(), 3, cost);
       IntegerRegressionResult dense_run = DenseIntegerRegression(system, 3, cost);
       ASSERT_TRUE(gram_run.ok());
       ASSERT_FALSE(dense_run.selection.empty());
@@ -281,21 +286,6 @@ TEST(SolverEquivalenceTest, CancellationLandsBetweenRefits) {
   EXPECT_GT(iterations.load(), 0u);
 }
 
-/// Exact (bitwise) equality of two GramSystems.
-void ExpectGramBitIdentical(const GramSystem& a, const GramSystem& b,
-                            const char* label) {
-  ASSERT_EQ(a.cols(), b.cols()) << label;
-  for (size_t i = 0; i < a.cols(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) {
-      EXPECT_EQ(a.gram(i, j), b.gram(i, j))
-          << label << " G(" << i << "," << j << ")";
-    }
-  }
-  EXPECT_EQ(a.vty, b.vty) << label << " vty";
-  EXPECT_EQ(a.target_norm2, b.target_norm2) << label << " ||y||^2";
-  EXPECT_EQ(a.col_norms, b.col_norms) << label << " col_norms";
-}
-
 TEST(SolverEquivalenceTest, NompSweepMatchesPerBudgetCallsBitwise) {
   // The batched sweep must reproduce each per-ℓ pursuit EXACTLY — same
   // bits, not just same supports — since the engine's batch window
@@ -318,36 +308,6 @@ TEST(SolverEquivalenceTest, NompSweepMatchesPerBudgetCallsBitwise) {
             << "ell=" << ell;
       }
     }
-  }
-}
-
-TEST(SolverEquivalenceTest, GramBatchMatchesSoloBuildsBitwise) {
-  Workload workload = SmallWorkload();
-  const InstanceVectors& vectors = workload.vectors().front();
-
-  // Distinct systems per item, plus targets repeated against item 0's
-  // matrix (the shared-V fast path must still match a solo build).
-  std::vector<DesignSystem> skeletons;
-  for (size_t item = 0; item < vectors.num_items(); ++item) {
-    skeletons.push_back(BuildCompareSetsSystem(vectors, item, 0.5));
-  }
-  Vector alt_target = skeletons[0].target;
-  for (size_t i = 0; i < alt_target.size(); ++i) {
-    alt_target[i] += 0.25 * static_cast<double>(i % 3);
-  }
-
-  std::vector<GramBuildItem> items;
-  for (const DesignSystem& s : skeletons) {
-    items.push_back({&s.v, &s.target});
-  }
-  items.push_back({&skeletons[0].v, &alt_target});   // shared-V, new target
-  items.push_back({&skeletons[0].v, &skeletons[0].target});  // exact repeat
-
-  std::vector<GramSystem> batch = BuildGramSystemBatch(items);
-  ASSERT_EQ(batch.size(), items.size());
-  for (size_t k = 0; k < items.size(); ++k) {
-    GramSystem solo = BuildGramSystem(*items[k].v, *items[k].target);
-    ExpectGramBitIdentical(batch[k], solo, "batch item");
   }
 }
 
@@ -394,10 +354,10 @@ TEST(SolverEquivalenceTest, NnlsGramBatchMatchesSequentialSolvesBitwise) {
   }
 }
 
-TEST(SolverEquivalenceTest, RefreshDesignTargetMatchesRebuildBitwise) {
-  // The CompaReSetS+ sweep refreshes each item's target in place across
-  // sync rounds; a refreshed system must be indistinguishable — bitwise
-  // — from rebuilding with the new φ blocks.
+TEST(SolverEquivalenceTest, PlusAssemblyKeepsGramAcrossSweepTargets) {
+  // Across CompaReSetS+ sync rounds only the φ target blocks evolve: the
+  // assembled groups, G and column norms must be bitwise the same for
+  // any φ, and only Ṽᵀy and ‖y‖² may move.
   Workload workload = SmallWorkload();
   for (const InstanceVectors& vectors : workload.vectors()) {
     if (vectors.num_items() < 2) continue;
@@ -415,20 +375,14 @@ TEST(SolverEquivalenceTest, RefreshDesignTargetMatchesRebuildBitwise) {
       return phis;
     };
     const size_t item = 0;
-    std::vector<Vector> round0 = phis_with_prefix(item, 2);
-    std::vector<Vector> round1 = phis_with_prefix(item, 3);
-
-    DesignSystem refreshed =
-        BuildCompareSetsPlusSystem(vectors, item, 1.0, 0.1, round0);
-    RefreshDesignTarget(
-        &refreshed, BuildCompareSetsPlusTarget(vectors, item, 1.0, 0.1, round1));
-
-    DesignSystem rebuilt =
-        BuildCompareSetsPlusSystem(vectors, item, 1.0, 0.1, round1);
-    EXPECT_EQ(refreshed.target, rebuilt.target);
-    EXPECT_EQ(refreshed.dup_counts, rebuilt.dup_counts);
-    EXPECT_EQ(refreshed.group_reviews, rebuilt.group_reviews);
-    ExpectGramBitIdentical(refreshed.gram, rebuilt.gram, "refresh");
+    DesignSystem round0 = BuildCompareSetsPlusSystem(
+        vectors, item, 1.0, 0.1, phis_with_prefix(item, 2));
+    DesignSystem round1 = BuildCompareSetsPlusSystem(
+        vectors, item, 1.0, 0.1, phis_with_prefix(item, 3));
+    EXPECT_EQ(round0.dup_counts, round1.dup_counts);
+    EXPECT_EQ(round0.group_reviews, round1.group_reviews);
+    EXPECT_EQ(round0.gram.gram, round1.gram.gram);
+    EXPECT_EQ(round0.gram.col_norms, round1.gram.col_norms);
   }
 }
 

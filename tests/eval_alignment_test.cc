@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "core/selector.h"
@@ -119,11 +120,18 @@ void ExpectBitIdentical(const AlignmentScores& fast,
 }
 
 /// Selects with CompaReSetS+ at each m on every instance of `workload`
-/// and compares full and core-list alignment with the oracle's.
+/// and compares full and core-list alignment with the oracle's — the
+/// full alignment both one-off and from a per-instance document memo
+/// that stays warm across the m values (so its ids were interned in
+/// another order than any one call's).
 void ExpectWorkloadMatchesOracle(const Workload& workload) {
   auto selector = MakeSelector("CompaReSetS+");
   ASSERT_TRUE(selector.ok());
-  for (size_t m : {1u, 3u, 10u}) {
+  std::vector<std::unique_ptr<AlignmentDocumentMemo>> memos;
+  for (const ProblemInstance& instance : workload.instances()) {
+    memos.push_back(std::make_unique<AlignmentDocumentMemo>(instance));
+  }
+  for (size_t m : {10u, 1u, 3u}) {
     SelectorOptions options;
     options.m = m;
     auto run = RunSelector(*selector.value(), workload, options);
@@ -133,9 +141,11 @@ void ExpectWorkloadMatchesOracle(const Workload& workload) {
       const std::vector<Selection>& selections =
           run.value().results[i].selections;
       SCOPED_TRACE(::testing::Message() << "m " << m << " instance " << i);
-      ExpectBitIdentical(MeasureAlignment(instance, selections),
-                         oracle::MeasureAlignment(instance, selections),
+      AlignmentScores expected = oracle::MeasureAlignment(instance, selections);
+      ExpectBitIdentical(MeasureAlignment(instance, selections), expected,
                          "all items");
+      ExpectBitIdentical(memos[i]->Measure(selections), expected,
+                         "all items from the memo");
       // Core lists with the target and without it.
       std::vector<size_t> with_target;
       std::vector<size_t> without_target;
@@ -210,10 +220,17 @@ TEST(AlignmentOracleTest, EdgeCaseReviewsMatchOracleBitForBit) {
       {{1}, {0}, {1, 2}},
       {{2, 3}, {2}, {0}},
   };
+  AlignmentDocumentMemo memo(instance);
   for (const std::vector<Selection>& selections : cases) {
-    ExpectBitIdentical(MeasureAlignment(instance, selections),
-                       oracle::MeasureAlignment(instance, selections),
+    AlignmentScores expected = oracle::MeasureAlignment(instance, selections);
+    ExpectBitIdentical(MeasureAlignment(instance, selections), expected,
                        "all items");
+    AlignmentDocumentMemo::Use use;
+    ExpectBitIdentical(memo.Measure(selections, &use), expected,
+                       "all items from the memo");
+    size_t selected = 0;
+    for (const Selection& selection : selections) selected += selection.size();
+    EXPECT_EQ(use.built + use.reused, selected);
     for (const std::vector<size_t>& items :
          {std::vector<size_t>{0, 2}, std::vector<size_t>{1, 2},
           std::vector<size_t>{2, 0, 1}}) {

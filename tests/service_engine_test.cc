@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "data/synthetic.h"
+#include "eval/alignment.h"
 #include "eval/runner.h"
 #include "opinion/vectors.h"
 
@@ -329,6 +331,105 @@ TEST(SelectionEngineTest, AlignmentIsTimedOncePerSolvedAnswer) {
   EXPECT_FALSE(solved.value().result_cache_hit);
   EXPECT_EQ(solved.value().alignment.among_pairs, 0u);
   EXPECT_EQ(AlignmentCount(unmeasured), 0u);
+}
+
+/// Value of counter `name` (0 when it was never touched).
+uint64_t CounterValue(const MetricsSnapshot& snapshot,
+                      const std::string& name) {
+  for (const auto& [counter, value] : snapshot.counters) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+double GaugeValue(const MetricsSnapshot& snapshot, const std::string& name) {
+  for (const auto& [gauge, value] : snapshot.gauges) {
+    if (gauge == name) return value;
+  }
+  return 0.0;
+}
+
+size_t SelectedReviews(const SelectResponse& response) {
+  size_t total = 0;
+  for (const Selection& selection : response.selections) {
+    total += selection.size();
+  }
+  return total;
+}
+
+TEST(SelectionEngineTest, AlignmentDocumentsAreBuiltOncePerReview) {
+  auto corpus = MakeCorpus(60);
+  SelectionEngine engine(corpus);
+  SelectRequest request = RequestFor(*corpus, 0, "CompaReSetS+");
+  auto first = engine.Select(request);
+  ASSERT_TRUE(first.ok()) << first.status();
+  MetricsSnapshot cold = engine.SnapshotMetrics();
+  EXPECT_EQ(CounterValue(cold, "engine.alignment_docs_built"),
+            SelectedReviews(first.value()));
+  EXPECT_EQ(CounterValue(cold, "engine.alignment_docs_reused"), 0u);
+
+  // Same instance, another μ: the vector cache hits, the result memo
+  // misses, and every review both answers selected is reused.
+  request.options.mu = 0.3;
+  auto second = engine.Select(request);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(second.value().cache_hit);
+  EXPECT_FALSE(second.value().result_cache_hit);
+  MetricsSnapshot warm = engine.SnapshotMetrics();
+  uint64_t built = CounterValue(warm, "engine.alignment_docs_built") -
+                   CounterValue(cold, "engine.alignment_docs_built");
+  uint64_t reused = CounterValue(warm, "engine.alignment_docs_reused");
+  EXPECT_EQ(built + reused, SelectedReviews(second.value()));
+  EXPECT_GT(reused, 0u);
+
+  // The built documents and blocks count toward the cache footprint.
+  EngineOptions unmeasured_options;
+  unmeasured_options.measure_alignment = false;
+  SelectionEngine unmeasured(corpus, unmeasured_options);
+  ASSERT_TRUE(unmeasured.Select(request).ok());
+  EXPECT_GT(GaugeValue(engine.SnapshotMetrics(), "cache.approx_bytes"),
+            GaugeValue(unmeasured.SnapshotMetrics(), "cache.approx_bytes"));
+}
+
+TEST(SelectionEngineTest, ConcurrentAlignmentFromTheMemoIsBitIdentical) {
+  // Several callers solve one target at different λ and μ at once, so
+  // they fill one instance's document memo and item blocks together;
+  // every alignment must still equal the one-off measurement, bit for
+  // bit. (Runs under the TSan leg of tools/check.sh.)
+  auto corpus = MakeCorpus(60);
+  EngineOptions options;
+  options.result_capacity = 0;  // Every request solves and aligns.
+  SelectionEngine engine(corpus, options);
+  const ProblemInstance& instance = corpus->instances()[0];
+  constexpr size_t kCallers = 4;
+  constexpr size_t kPerCaller = 6;
+  std::vector<std::vector<SelectResponse>> answers(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t k = 0; k < kPerCaller; ++k) {
+        SelectRequest request = RequestFor(*corpus, 0, "CompaReSetS+");
+        request.options.lambda = 0.5 + 0.5 * static_cast<double>(c % 3);
+        request.options.mu = 0.05 * static_cast<double>(1 + k + c);
+        auto response = engine.Select(request);
+        if (response.ok()) answers[c].push_back(std::move(response).value());
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  size_t checked = 0;
+  for (const auto& per_caller : answers) {
+    ASSERT_EQ(per_caller.size(), kPerCaller);
+    for (const SelectResponse& response : per_caller) {
+      AlignmentScores expected =
+          MeasureAlignment(instance, response.selections);
+      EXPECT_EQ(std::memcmp(&response.alignment, &expected,
+                            sizeof(AlignmentScores)),
+                0);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, kCallers * kPerCaller);
 }
 
 // Acceptance parity: over a 240-product synthetic workload, the batched

@@ -200,7 +200,7 @@ TEST_P(RouterDeterminismTest, SelectBatchMatchesTheSingleEngine) {
 
 TEST_P(RouterDeterminismTest, WindowedSelectBatchMatchesWindowedEngine) {
   // With batch_kernel_window set, engine AND router stage each window's
-  // kernel work (batched Gram builds, prefetched prepares) up front.
+  // prepares up front.
   // Shard sub-batches window independently of the single engine's
   // stream, yet responses — including the warm-state flags — must still
   // match: every prefetched request is a cache hit on both sides, and

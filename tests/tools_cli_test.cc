@@ -174,6 +174,25 @@ TEST(CliTest, ServeDegradeAndTierFlags) {
   EXPECT_NE(bad.exit_code, 0);
 }
 
+TEST(CliTest, ServeRefusesBadTierAndMissingFilesWithoutAborting) {
+  // Both used to abort (exit 134) on an unchecked Status; a refusal is
+  // the usage exit code with the Status on stderr.
+  CommandResult tier = RunCli("serve --products 40 --min_tier bogus");
+  EXPECT_EQ(tier.exit_code, 2) << tier.output;
+  EXPECT_NE(tier.output.find("unknown quality tier"), std::string::npos)
+      << tier.output;
+  EXPECT_EQ(tier.output.find("Fatal"), std::string::npos) << tier.output;
+
+  CommandResult files = RunCli(
+      "serve --reviews /nonexistent.jsonl --metadata /nonexistent.jsonl");
+  EXPECT_EQ(files.exit_code, 2) << files.output;
+  EXPECT_EQ(files.output.find("Fatal"), std::string::npos) << files.output;
+
+  CommandResult rpc_tier =
+      RunCli("serve --products 40 --transport rpc --min_tier bogus");
+  EXPECT_EQ(rpc_tier.exit_code, 2) << rpc_tier.output;
+}
+
 TEST(CliTest, ServeShardedAnswersTheSameQueries) {
   std::string path = ::testing::TempDir() + "/comparesets_cli_shardq.txt";
   {
@@ -221,9 +240,9 @@ TEST(CliTest, ServeWindowedBatchPrefetchesColdQueries) {
           f);
     fclose(f);
   }
-  // --window stages the batch in kernel windows whose design systems are
-  // prefetched via one batched Gram build before the requests execute,
-  // so even cold queries report a warm vector cache. Payloads are
+  // --window stages the batch in windows whose unique instances are
+  // prepared before the requests execute, so even cold queries report a
+  // warm vector cache. Payloads are
   // bit-identical with the window on or off (the engine determinism
   // tests pin that); this exercises the CLI plumbing end to end.
   CommandResult result = RunCli(

@@ -334,9 +334,10 @@ size_t PrintServeResponses(const std::vector<SelectRequest>& requests,
   return failed;
 }
 
-// Copies the serve-relevant engine flags into EngineOptions (shared by
-// the local router and the spawned shard_server command lines).
-void FillEngineOptions(const FlagParser& flags, EngineOptions* engine_options) {
+// Copies the serve-relevant engine flags into EngineOptions; refuses
+// flags that do not parse.
+Status FillEngineOptions(const FlagParser& flags,
+                         EngineOptions* engine_options) {
   engine_options->threads = static_cast<size_t>(flags.GetInt("threads"));
   engine_options->max_intra_request_threads =
       static_cast<size_t>(flags.GetInt("intra_threads"));
@@ -352,12 +353,12 @@ void FillEngineOptions(const FlagParser& flags, EngineOptions* engine_options) {
       static_cast<size_t>(flags.GetInt("window"));
   if (!ParseRequestPriority(flags.GetString("batch_priority"),
                             &engine_options->batch_priority)) {
-    Status::InvalidArgument("--batch_priority must be interactive or batch")
-        .CheckOK();
+    return Status::InvalidArgument(
+        "--batch_priority must be interactive or batch");
   }
-  auto floor = ResolveTierFloor(flags);
-  floor.status().CheckOK();
-  engine_options->min_quality_tier = floor.value();
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->min_quality_tier,
+                               ResolveTierFloor(flags));
+  return Status::OK();
 }
 
 // One HTTP/1.0 scrape of our own metrics endpoint, over a real TCP
@@ -377,8 +378,9 @@ Result<std::string> ScrapeMetricsOnce(const std::string& address) {
 
 // Forks one shard_server child. The child's stdout is rerouted to
 // stderr so the CLI's stdout stays exactly the query-response stream.
+// `floor` is the already-resolved --min_tier/--degrade floor.
 pid_t SpawnShardServer(const std::string& binary, const FlagParser& flags,
-                       int shards, int shard_index,
+                       int shards, int shard_index, QualityTier floor,
                        const std::string& address) {
   std::vector<std::string> args = {
       binary,
@@ -400,13 +402,8 @@ pid_t SpawnShardServer(const std::string& binary, const FlagParser& flags,
       "--batch_priority=" + flags.GetString("batch_priority"),
       "--slo_ms=" + std::to_string(flags.GetDouble("slo_ms")),
       "--retries=" + std::to_string(flags.GetInt("retries")),
+      std::string("--min_tier=") + QualityTierName(floor),
   };
-  {
-    auto floor = ResolveTierFloor(flags);
-    floor.status().CheckOK();
-    args.push_back(std::string("--min_tier=") +
-                   QualityTierName(floor.value()));
-  }
   pid_t pid = fork();
   if (pid != 0) return pid;
   dup2(STDERR_FILENO, STDOUT_FILENO);
@@ -473,16 +470,18 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
     return 2;
   }
   size_t num_shards = static_cast<size_t>(shards_flag);
+  auto floor = ResolveTierFloor(flags);
+  if (!floor.ok()) return UsageError(floor.status());
 
   // The router side derives the partition bounds from the same data the
   // servers load — CorpusPartitioner is deterministic, so both sides of
   // the wire agree on the ranges without shipping the corpus.
   auto corpus = LoadData(flags);
-  corpus.status().CheckOK();
+  if (!corpus.ok()) return UsageError(corpus.status());
   auto indexed = IndexedCorpus::Build(std::move(corpus).value());
-  indexed.status().CheckOK();
+  if (!indexed.ok()) return UsageError(indexed.status());
   auto bounds = CorpusPartitioner::ComputeBounds(*indexed.value(), num_shards);
-  bounds.status().CheckOK();
+  if (!bounds.ok()) return UsageError(bounds.status());
 
   std::vector<std::string> addresses;
   std::vector<pid_t> pids;
@@ -501,7 +500,8 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
       addresses.push_back("unix:/tmp/csrp-" + std::to_string(getpid()) + "-" +
                           std::to_string(s) + ".sock");
       pids.push_back(SpawnShardServer(binary, flags, shards_flag,
-                                      static_cast<int>(s), addresses[s]));
+                                      static_cast<int>(s), floor.value(),
+                                      addresses[s]));
     }
   }
 
@@ -523,7 +523,10 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
     backend_options.replicas = {addresses[s]};
     backend_options.shard_id = s;
     auto backend = RpcShardBackend::Create(std::move(backend_options));
-    backend.status().CheckOK();
+    if (!backend.ok()) {
+      if (!pids.empty()) TearDownFleet(pids, addresses);
+      return UsageError(backend.status());
+    }
     backends.push_back(std::move(backend).value());
   }
   // The scatter over remote shards is the only work on this process's
@@ -532,7 +535,10 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
   router_options.engine.threads = static_cast<size_t>(flags.GetInt("threads"));
   auto router = ShardRouter::Create(bounds.value(), std::move(backends),
                                     router_options);
-  router.status().CheckOK();
+  if (!router.ok()) {
+    if (!pids.empty()) TearDownFleet(pids, addresses);
+    return UsageError(router.status());
+  }
   PrintShardHeader(*router.value());
 
   std::vector<SelectRequest> requests;
@@ -576,8 +582,12 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
     return 2;
   }
 
+  RouterOptions router_options;
+  Status filled = FillEngineOptions(flags, &router_options.engine);
+  if (!filled.ok()) return UsageError(filled);
+
   auto corpus = LoadData(flags);
-  corpus.status().CheckOK();
+  if (!corpus.ok()) return UsageError(corpus.status());
   // The ingestion driver's delta builder needs its own copy of the base
   // corpus (the identical one the router's snapshots are built from) —
   // take it before the move into the index build.
@@ -585,10 +595,7 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
   Corpus ingest_base;
   if (!ingest_log.empty()) ingest_base = corpus.value();
   auto indexed = IndexedCorpus::Build(std::move(corpus).value());
-  indexed.status().CheckOK();
-
-  RouterOptions router_options;
-  FillEngineOptions(flags, &router_options.engine);
+  if (!indexed.ok()) return UsageError(indexed.status());
 
   int shards_flag = flags.GetInt("shards");
   if (shards_flag < 1) {
@@ -598,7 +605,7 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
   auto router = ShardRouter::Create(indexed.value(),
                                     static_cast<size_t>(shards_flag),
                                     router_options);
-  router.status().CheckOK();
+  if (!router.ok()) return UsageError(router.status());
   PrintShardHeader(*router.value());
 
   // The Prometheus endpoint comes up before any query is answered, so
@@ -610,7 +617,7 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
     ShardRouter* router_ptr = router.value().get();
     Status started = metrics_http.Start(
         metrics_port, [router_ptr] { return router_ptr->RenderPrometheus(); });
-    started.CheckOK();
+    if (!started.ok()) return UsageError(started);
     std::printf("METRICS LISTENING %s\n", metrics_http.bound_address().c_str());
   }
 
@@ -641,7 +648,7 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
         static_cast<uint64_t>(flags.GetInt("ingest_interval_ms"));
     auto driver = IngestDriver::Create(std::move(ingest_base),
                                        router.value().get(), ingest_options);
-    driver.status().CheckOK();
+    if (!driver.ok()) return UsageError(driver.status());
     ingest = std::move(driver).value();
   }
 
@@ -658,7 +665,7 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
     // before this point is served to the batch. The background poller
     // (if enabled) only starts afterwards so the two never overlap.
     auto drained = ingest->DrainOnce();
-    drained.status().CheckOK();
+    if (!drained.ok()) return UsageError(drained.status());
     std::printf("INGEST drained %zu records in %zu batches from %s\n",
                 drained.value().records_applied, drained.value().batches,
                 ingest_log.c_str());
@@ -693,7 +700,7 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
   }
   if (metrics_port >= 0) {
     auto scraped = ScrapeMetricsOnce(metrics_http.bound_address());
-    scraped.status().CheckOK();
+    if (!scraped.ok()) return UsageError(scraped.status());
     std::printf("\n%s", scraped.value().c_str());
     metrics_http.Stop();
   }
