@@ -270,37 +270,17 @@ DesignSystem AssembleDesignSystem(const ItemBlocks& blocks,
   return out;
 }
 
-std::shared_ptr<const ItemBlocks> ItemBlockCache::Get(
-    const InstanceVectors& vectors, size_t item) const {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    COMPARESETS_CHECK(item < items_.size()) << "item out of range";
-    if (items_[item] != nullptr) return items_[item];
-  }
-  // Build outside the lock: blocks are deterministic, so a racing
-  // duplicate build produces an identical value and the first insert
-  // wins below.
-  auto built =
-      std::make_shared<const ItemBlocks>(BuildItemBlocks(vectors, item));
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (items_[item] == nullptr) {
-    items_[item] = std::move(built);
-    bytes_ += items_[item]->ApproxMemoryBytes();
-  }
-  return items_[item];
-}
-
-size_t ItemBlockCache::ApproxMemoryBytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
-}
-
 std::shared_ptr<const ItemBlocks> GetOrBuildItemBlocks(
     const InstanceVectors& vectors, size_t item) {
-  if (vectors.block_cache != nullptr) {
-    return vectors.block_cache->Get(vectors, item);
-  }
-  return std::make_shared<const ItemBlocks>(BuildItemBlocks(vectors, item));
+  COMPARESETS_CHECK(item < vectors.num_items()) << "item out of range";
+  if (auto stored = vectors.block_cache->Find(item)) return stored;
+  // Build outside the cache's lock: blocks are deterministic, so a
+  // racing duplicate build produces an identical value and the first
+  // insert wins.
+  auto built =
+      std::make_shared<const ItemBlocks>(BuildItemBlocks(vectors, item));
+  size_t bytes = built->ApproxMemoryBytes();
+  return vectors.block_cache->Insert(item, std::move(built), bytes);
 }
 
 DesignSystem BuildCrsSystem(const InstanceVectors& vectors, size_t item) {

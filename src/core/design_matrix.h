@@ -19,15 +19,14 @@
 //   ‖y‖²  = ‖τ‖² + λ²‖γ‖² + μ²·Σ_{j≠i} ‖φ_j‖²
 // ItemBlocks holds those blocks plus the dedup groups, built once per
 // item; AssembleDesignSystem turns them into one solvable system at any
-// (λ, μ, φ) in O(q²). The service layer keeps each prepared instance's
-// blocks in an ItemBlockCache, so every objective at every λ and μ is
-// served from one build.
+// (λ, μ, φ) in O(q²). Every InstanceVectors keeps its blocks in an
+// ItemBlockCache, so every objective at every λ and μ is served from
+// one build per item.
 
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "linalg/gram.h"
@@ -120,28 +119,8 @@ struct DesignWeights {
 DesignSystem AssembleDesignSystem(const ItemBlocks& blocks,
                                   const DesignWeights& weights);
 
-/// Per-instance memo of built ItemBlocks, filled lazily and thread-safe.
-/// The blocks are pure functions of the immutable vectors, so one entry
-/// per item serves every objective, λ and μ.
-class ItemBlockCache {
- public:
-  explicit ItemBlockCache(size_t items) : items_(items) {}
-
-  std::shared_ptr<const ItemBlocks> Get(const InstanceVectors& vectors,
-                                        size_t item) const;
-
-  /// Footprint of the blocks built so far.
-  size_t ApproxMemoryBytes() const;
-
- private:
-  mutable std::mutex mutex_;
-  mutable std::vector<std::shared_ptr<const ItemBlocks>> items_;
-  mutable size_t bytes_ = 0;
-};
-
-/// Item `item`'s blocks: from `vectors.block_cache` when the instance
-/// came through the service layer's PreparedInstance, built fresh
-/// otherwise.
+/// Item `item`'s blocks from `vectors.block_cache`, built and stored
+/// there on first use.
 std::shared_ptr<const ItemBlocks> GetOrBuildItemBlocks(
     const InstanceVectors& vectors, size_t item);
 

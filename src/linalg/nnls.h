@@ -61,12 +61,12 @@ struct NnlsGramProblem {
 /// Solves every problem against the same `gram` in one call: one warm
 /// workspace (factor storage, flags, duals) serves the whole batch, and
 /// problems whose (vty, b_norm2) bit-match an earlier problem reuse its
-/// result outright — the cross-request dedup the engine's batch window
-/// leans on. Each returned NnlsResult is bit-identical to SolveNnlsGram
-/// on that problem alone: Lawson–Hanson trajectories depend on their
-/// right-hand side, so distinct problems are NOT run in lockstep (that
-/// would change active-set op order and break bit-equality); the
-/// multi-RHS trsm kernels serve the within-solve batching instead.
+/// result outright. Each returned NnlsResult is bit-identical to
+/// SolveNnlsGram on that problem alone: Lawson–Hanson trajectories
+/// depend on their right-hand side, so distinct problems are NOT run in
+/// lockstep (that would change active-set op order and break
+/// bit-equality); the multi-RHS trsm kernels serve the within-solve
+/// batching instead.
 /// Fails fast on the first problem that fails.
 Result<std::vector<NnlsResult>> SolveNnlsGramBatch(
     const Matrix& gram, const std::vector<NnlsGramProblem>& problems,

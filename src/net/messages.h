@@ -4,8 +4,8 @@
 // The vocabulary is deliberately small — the shard_server hosts ONE
 // SelectionEngine, so the protocol is the engine's surface and nothing
 // more: single selects, sub-batches (a router ships each shard its
-// whole sub-batch in one frame so the engine's windowing / in-order
-// memo semantics are preserved verbatim), health/readiness probes, and
+// whole sub-batch in one frame so the engine's in-order memo
+// semantics are preserved verbatim), health/readiness probes, and
 // a clean shutdown handshake. Errors travel as a serialized Status with
 // full code + message fidelity: the transport oracle requires the RPC
 // path to surface *exactly* the Status the engine produced.

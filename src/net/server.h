@@ -4,8 +4,8 @@
 // own handler thread, which answers frames sequentially until the peer
 // goes away — the connection is the unit of ordering, exactly like a
 // SelectionEngine call sequence. A kBatchRequest is answered by ONE
-// backend SelectBatch call, so the engine's batch semantics (kernel
-// windowing, in-order memo hits) survive the hop unchanged.
+// backend SelectBatch call, so the engine's batch semantics (in-order
+// memo hits) survive the hop unchanged.
 //
 // Protocol errors (unparseable frame, unsupported type, bad payload)
 // answer with a kError frame carrying the typed Status, then close the

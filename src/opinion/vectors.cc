@@ -14,6 +14,28 @@ Vector InstanceVectors::AspectOf(size_t item, const Selection& selection) const 
   return model.AspectVector(SelectReviews(*instance->items[item], selection));
 }
 
+std::shared_ptr<const ItemBlocks> ItemBlockCache::Find(size_t item) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return item < items_.size() ? items_[item] : nullptr;
+}
+
+std::shared_ptr<const ItemBlocks> ItemBlockCache::Insert(
+    size_t item, std::shared_ptr<const ItemBlocks> blocks,
+    size_t bytes) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (item >= items_.size()) items_.resize(item + 1);
+  if (items_[item] == nullptr) {
+    items_[item] = std::move(blocks);
+    bytes_ += bytes;
+  }
+  return items_[item];
+}
+
+size_t ItemBlockCache::ApproxMemoryBytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return bytes_;
+}
+
 size_t InstanceVectors::ApproxMemoryBytes() const {
   size_t doubles = gamma.size();
   for (const Vector& t : tau) doubles += t.size();

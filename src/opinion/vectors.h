@@ -4,6 +4,8 @@
 
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "data/corpus.h"
@@ -11,10 +13,34 @@
 
 namespace comparesets {
 
-class ItemBlockCache;
+struct ItemBlocks;
 
 /// A selected review subset, as indices into Product::reviews.
 using Selection = std::vector<size_t>;
+
+/// Thread-safe per-item slots for one instance's design blocks
+/// (ItemBlocks, core/design_matrix.h), filled lazily by
+/// GetOrBuildItemBlocks. The blocks are pure functions of the immutable
+/// vectors, so one entry per item serves every objective, λ and μ.
+class ItemBlockCache {
+ public:
+  /// Item `item`'s blocks, or nullptr before their first build.
+  std::shared_ptr<const ItemBlocks> Find(size_t item) const;
+
+  /// Stores `blocks` (footprint `bytes`) for `item` unless a racing
+  /// build stored first; returns the stored entry either way.
+  std::shared_ptr<const ItemBlocks> Insert(
+      size_t item, std::shared_ptr<const ItemBlocks> blocks,
+      size_t bytes) const;
+
+  /// Footprint of the blocks stored so far.
+  size_t ApproxMemoryBytes() const;
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::vector<std::shared_ptr<const ItemBlocks>> items_;
+  mutable size_t bytes_ = 0;
+};
 
 /// All vector-space data derived from one problem instance under one
 /// opinion model. Build once, share across selectors and evaluation.
@@ -35,11 +61,11 @@ struct InstanceVectors {
   /// Per item, per review: 0/1 aspect design column.
   std::vector<std::vector<Vector>> aspect_columns;
 
-  /// Optional memo of the per-item design blocks, owned by the service
-  /// layer's PreparedInstance; nullptr (the default everywhere else)
-  /// builds them per call. See GetOrBuildItemBlocks in
-  /// core/design_matrix.h.
-  const ItemBlockCache* block_cache = nullptr;
+  /// Memo of the per-item design blocks. Every InstanceVectors starts
+  /// with its own, and copies share it: the vectors are never changed
+  /// after they are built.
+  std::shared_ptr<const ItemBlockCache> block_cache =
+      std::make_shared<const ItemBlockCache>();
 
   size_t num_items() const { return instance->num_items(); }
   size_t num_reviews(size_t item) const {

@@ -66,8 +66,8 @@ class ShardBackend {
   virtual Result<SelectResponse> Select(const SelectRequest& request) = 0;
 
   /// Answers a whole sub-batch. Shipping the sub-batch as one unit (one
-  /// frame, for RPC) preserves the engine's batch semantics — kernel
-  /// windowing, in-order memo hits — exactly as an in-process call.
+  /// frame, for RPC) preserves the engine's batch semantics — in-order
+  /// memo hits — exactly as an in-process call.
   virtual std::vector<Result<SelectResponse>> SelectBatch(
       const std::vector<SelectRequest>& requests) = 0;
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "core/greedy_selector.h"
@@ -568,45 +567,14 @@ Result<SelectResponse> SelectionEngine::SelectAtPriority(
   return finish_ok(std::move(outcome).value());
 }
 
-void SelectionEngine::PrefetchWindow(
-    const std::vector<SelectRequest>& requests, size_t begin,
-    size_t end) const {
-  // Chaos drills want the cold path: a prefetch would consume injected
-  // cache-lookup faults aimed at the requests themselves.
-  if (options_.fault_injector != nullptr) return;
-  std::shared_ptr<const IndexedCorpus> corpus;
-  uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(corpus_mutex_);
-    corpus = corpus_;
-    epoch = corpus_epoch_;
-  }
-  // One warm-up per unique instance: Prepare stages the vectors under
-  // the same key the request will look up. (The per-item design blocks
-  // are λ/μ-free and fill lazily inside the solve's parallel item
-  // lanes, so there is no per-selector work left to stage.) Requests
-  // arriving after a mid-batch Publish read a newer epoch and simply
-  // miss cold — never a stale answer.
-  std::unordered_set<std::string> warmed;
-  for (size_t i = begin; i < end; ++i) {
-    const SelectRequest& request = requests[i];
-    if (request.target_id.empty()) continue;
-    std::string prepare_key = CacheKey(epoch, options_.opinion, request);
-    if (!warmed.insert(prepare_key).second) continue;
-    bool cache_hit = false;
-    if (!Prepare(corpus, prepare_key, request, &cache_hit).ok()) continue;
-    metrics_.counter("engine.batch_prefetches").Increment();
-  }
-}
-
-void SelectionEngine::RunWindow(
-    const std::vector<SelectRequest>& requests, size_t begin, size_t end,
-    std::vector<std::optional<Result<SelectResponse>>>* slots) const {
+std::vector<Result<SelectResponse>> SelectionEngine::SelectBatch(
+    const std::vector<SelectRequest>& requests) const {
+  metrics_.counter("engine.batches").Increment();
   ThreadPool& pool = *options_.pool;
   // ParallelFor lets the caller participate, so even a 1-worker pool
   // runs two lanes. A single-threaded engine promises serial in-order
   // batches (a repeated target is guaranteed to warm-hit) — one lane
-  // runs the window inline, in request order. On more lanes, exact
+  // runs the batch inline, in request order. On more lanes, exact
   // repeats coalesce onto their head's lane: the head solves and its
   // duplicates replay in order behind it, deterministically memo-hitting
   // instead of racing the head on sibling lanes.
@@ -615,7 +583,7 @@ void SelectionEngine::RunWindow(
   const uint64_t epoch = corpus_epoch();
   std::vector<std::vector<size_t>> groups;
   std::unordered_map<std::string, size_t> group_of;
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < requests.size(); ++i) {
     const SelectRequest& request = requests[i];
     if (!coalesce || request.target_id.empty()) {
       groups.push_back({i});
@@ -630,6 +598,7 @@ void SelectionEngine::RunWindow(
       groups[it->second].push_back(i);
     }
   }
+  std::vector<std::optional<Result<SelectResponse>>> slots(requests.size());
   // The lanes run in the batch class, so a concurrent interactive
   // Select's helpers jump ahead of them in the deques; each request
   // fans out on the same pool under its batch-demoted priority.
@@ -637,32 +606,12 @@ void SelectionEngine::RunWindow(
       groups.size(),
       [&](size_t g) {
         for (size_t i : groups[g]) {
-          (*slots)[i] = SelectAtPriority(
+          slots[i] = SelectAtPriority(
               requests[i],
               DemotePriority(requests[i].priority, options_.batch_priority));
         }
       },
       lanes, options_.batch_priority);
-}
-
-std::vector<Result<SelectResponse>> SelectionEngine::SelectBatch(
-    const std::vector<SelectRequest>& requests) const {
-  metrics_.counter("engine.batches").Increment();
-  std::vector<std::optional<Result<SelectResponse>>> slots(requests.size());
-  // Windowed batching stages each window's shared kernel work (unique
-  // prepares + batched Gram builds) before any of its requests solves.
-  // Payloads are bit-identical to the unwindowed path; only warm-state
-  // flags change (prefetched requests report cache_hit). With the
-  // window off, the whole batch is one window with no prefetch.
-  const bool windowed =
-      options_.batch_kernel_window >= 2 && requests.size() > 1;
-  const size_t window =
-      windowed ? options_.batch_kernel_window : requests.size();
-  for (size_t begin = 0; begin < requests.size(); begin += window) {
-    size_t end = std::min(begin + window, requests.size());
-    if (windowed) PrefetchWindow(requests, begin, end);
-    RunWindow(requests, begin, end, &slots);
-  }
 
   std::vector<Result<SelectResponse>> responses;
   responses.reserve(slots.size());

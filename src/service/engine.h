@@ -115,16 +115,6 @@ struct EngineOptions {
   /// Deterministic fault injection at the engine's seams (tests /
   /// chaos drills); nullptr = no faults.
   std::shared_ptr<FaultInjector> fault_injector;
-  /// Cross-request batch window for SelectBatch (0 or 1 = off).
-  /// Consecutive requests are staged in windows of this size: each
-  /// window snapshots the corpus epoch once and prepares its unique
-  /// instances before any request in the window solves; exact repeats
-  /// inside a pooled window coalesce onto one lane so they
-  /// deterministically memo-hit their head. Purely a scheduling /
-  /// locality knob: every response payload is bit-identical to the
-  /// unwindowed path (warm-state flags differ — prefetched requests
-  /// report cache_hit = true).
-  size_t batch_kernel_window = 0;
   /// Stable shard id, stamped into every RequestTrace and used as the
   /// Prometheus `shard` label. 0 for an unsharded engine.
   size_t shard_id = 0;
@@ -368,20 +358,6 @@ class SelectionEngine {
                                          const ExecControl& control,
                                          const ParallelContext& parallel,
                                          RequestTrace* trace) const;
-
-  /// Warm-up for one batch window [begin, end): prepares every unique
-  /// instance once. Failures are silent — the requests themselves
-  /// surface them.
-  void PrefetchWindow(const std::vector<SelectRequest>& requests, size_t begin,
-                      size_t end) const;
-
-  /// Runs window [begin, end) of a batch (the whole batch when the
-  /// kernel window is off): inline in order on a 1-worker pool, pooled
-  /// with exact repeats coalesced onto their head's lane otherwise.
-  void RunWindow(const std::vector<SelectRequest>& requests, size_t begin,
-                 size_t end,
-                 std::vector<std::optional<Result<SelectResponse>>>* slots)
-      const;
 
   /// Resolves the request's instance against `corpus` and returns its
   /// prepared bundle, from cache when warm (under `key`, which already

@@ -9,14 +9,11 @@ std::shared_ptr<const PreparedInstance> PreparedInstance::Create(
     const OpinionModel& model) {
   // Wire in two steps: the bundle's own `instance` must be at its final
   // address before BuildInstanceVectors and the alignment memo capture
-  // pointers to it, and vectors.block_cache points into the bundle too.
-  size_t items = instance.num_items();
+  // pointers to it.
   auto bundle = std::make_shared<PreparedInstance>(PreparedInstance{
       std::move(corpus), std::move(instance),
-      InstanceVectors{model, nullptr, {}, {}, {}, {}},
-      std::make_unique<ItemBlockCache>(items), nullptr});
+      InstanceVectors{model, nullptr, {}, {}, {}, {}}, nullptr});
   bundle->vectors = BuildInstanceVectors(model, bundle->instance);
-  bundle->vectors.block_cache = bundle->blocks.get();
   bundle->alignment_docs =
       std::make_unique<AlignmentDocumentMemo>(bundle->instance);
   return bundle;
@@ -77,7 +74,7 @@ VectorCacheStats VectorCache::Stats() const {
   for (const Entry& entry : lru_) {
     const PreparedInstance& bundle = *entry.value;
     stats.approx_bytes += bundle.vectors.ApproxMemoryBytes() +
-                          bundle.blocks->ApproxMemoryBytes() +
+                          bundle.vectors.block_cache->ApproxMemoryBytes() +
                           bundle.alignment_docs->ApproxMemoryBytes();
   }
   return stats;

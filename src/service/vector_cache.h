@@ -28,7 +28,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/design_matrix.h"
 #include "eval/alignment.h"
 #include "opinion/vectors.h"
 #include "service/indexed_corpus.h"
@@ -39,22 +38,19 @@ namespace comparesets {
 /// layer a selector needs: the corpus snapshot (kept alive across
 /// catalog swaps), the instance (whose Product pointers reach into the
 /// snapshot), the derived vectors (whose `instance` pointer reaches
-/// into this same bundle), the λ/μ-free per-item design blocks (reached
-/// through vectors.block_cache), and the interned alignment documents.
+/// into this same bundle, and whose block_cache holds the λ/μ-free
+/// per-item design blocks), and the interned alignment documents.
 /// Never moved after wiring — always heap-allocated behind shared_ptr.
 struct PreparedInstance {
   std::shared_ptr<const IndexedCorpus> corpus;
   ProblemInstance instance;
   InstanceVectors vectors;
-  /// Per-item design blocks; selectors fill it lazily through
-  /// GetOrBuildItemBlocks. Heap-held, like the memo below, so the
-  /// bundle stays movable while the mutexes stay put.
-  std::unique_ptr<ItemBlockCache> blocks;
   /// Per-review interned documents; the engine scores alignment from it.
+  /// Heap-held so the bundle stays movable while the mutex stays put.
   std::unique_ptr<AlignmentDocumentMemo> alignment_docs;
 
-  /// Allocates a bundle and wires vectors.instance / vectors.block_cache
-  /// and the alignment memo to the owned members.
+  /// Allocates a bundle and wires vectors.instance and the alignment
+  /// memo to the owned instance.
   static std::shared_ptr<const PreparedInstance> Create(
       std::shared_ptr<const IndexedCorpus> corpus, ProblemInstance instance,
       const OpinionModel& model);

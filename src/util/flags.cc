@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -36,10 +38,16 @@ Status FlagParser::SetFromString(const std::string& name,
   Flag& flag = it->second;
   if (std::holds_alternative<int>(flag.value)) {
     char* end = nullptr;
+    errno = 0;
     long v = std::strtol(text.c_str(), &end, 10);
     if (end != text.c_str() + text.size() || text.empty()) {
       return Status::InvalidArgument("flag --" + name + " expects an int, got '" +
                                      text + "'");
+    }
+    if (errno == ERANGE || v < INT_MIN || v > INT_MAX) {
+      return Status::InvalidArgument("flag --" + name +
+                                     " is out of the int range, got '" + text +
+                                     "'");
     }
     flag.value = static_cast<int>(v);
   } else if (std::holds_alternative<double>(flag.value)) {
@@ -107,6 +115,15 @@ int FlagParser::GetInt(const std::string& name) const {
   auto it = flags_.find(name);
   COMPARESETS_CHECK(it != flags_.end()) << "undefined flag " << name;
   return std::get<int>(it->second.value);
+}
+
+Result<size_t> FlagParser::GetCount(const std::string& name) const {
+  int value = GetInt(name);
+  if (value < 0) {
+    return Status::InvalidArgument("--" + name + " must be >= 0, got " +
+                                   std::to_string(value));
+  }
+  return static_cast<size_t>(value);
 }
 
 double FlagParser::GetDouble(const std::string& name) const {

@@ -35,6 +35,9 @@ class FlagParser {
   Status Parse(int argc, char** argv);
 
   int GetInt(const std::string& name) const;
+  /// An int flag read as a count (threads, capacities, retries):
+  /// refuses a negative value with InvalidArgument.
+  Result<size_t> GetCount(const std::string& name) const;
   double GetDouble(const std::string& name) const;
   const std::string& GetString(const std::string& name) const;
   bool GetBool(const std::string& name) const;

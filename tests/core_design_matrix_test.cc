@@ -151,19 +151,28 @@ TEST_F(DesignMatrixTest, AssemblyMatchesMaterializedBuilder) {
 }
 
 TEST_F(DesignMatrixTest, BlockCacheServesOneBuildPerItem) {
-  ItemBlockCache cache(vectors_.num_items());
-  InstanceVectors cached = vectors_;
-  cached.block_cache = &cache;
+  // BuildInstanceVectors gives the instance its own memo, empty until a
+  // solve asks for an item's blocks.
+  const ItemBlockCache& cache = *vectors_.block_cache;
   EXPECT_EQ(cache.ApproxMemoryBytes(), 0u);
-  auto first = GetOrBuildItemBlocks(cached, 1);
-  auto again = GetOrBuildItemBlocks(cached, 1);
+  EXPECT_EQ(cache.Find(1), nullptr);
+  auto first = GetOrBuildItemBlocks(vectors_, 1);
+  auto again = GetOrBuildItemBlocks(vectors_, 1);
   EXPECT_EQ(first.get(), again.get());
+  EXPECT_EQ(cache.Find(1).get(), first.get());
   EXPECT_EQ(cache.ApproxMemoryBytes(), first->ApproxMemoryBytes());
   EXPECT_GT(cache.ApproxMemoryBytes(), 0u);
-  // Uncached vectors build a fresh, equal value per call.
-  auto fresh = GetOrBuildItemBlocks(vectors_, 1);
+  // Copies share the memo.
+  InstanceVectors copy = vectors_;
+  EXPECT_EQ(GetOrBuildItemBlocks(copy, 1).get(), first.get());
+  // Vectors built again start with their own memo and build an equal
+  // value.
+  InstanceVectors rebuilt =
+      BuildInstanceVectors(OpinionModel::Binary(5), instance_);
+  auto fresh = GetOrBuildItemBlocks(rebuilt, 1);
   EXPECT_NE(fresh.get(), first.get());
   EXPECT_EQ(fresh->gram_opinion, first->gram_opinion);
+  EXPECT_EQ(cache.ApproxMemoryBytes(), first->ApproxMemoryBytes());
 }
 
 }  // namespace

@@ -288,8 +288,8 @@ TEST(SolverEquivalenceTest, CancellationLandsBetweenRefits) {
 
 TEST(SolverEquivalenceTest, NompSweepMatchesPerBudgetCallsBitwise) {
   // The batched sweep must reproduce each per-ℓ pursuit EXACTLY — same
-  // bits, not just same supports — since the engine's batch window
-  // swaps one for the other behind callers' backs.
+  // bits, not just same supports — since Integer-Regression solves
+  // every budget through the sweep in place of per-budget calls.
   Workload workload = SmallWorkload();
   for (const InstanceVectors& vectors : workload.vectors()) {
     for (size_t item = 0; item < vectors.num_items(); ++item) {

@@ -221,7 +221,7 @@ TEST_P(TransportOracleTest, RpcMatchesLocalRouterAndSingleEngine) {
   }
 
   // Batch path: the request stream crosses the wire as one frame per
-  // shard, so windowing/memo semantics inside each engine are
+  // shard, so the in-order memo semantics inside each engine are
   // preserved exactly.
   auto fresh_corpus = MakeCorpus(80);
   SelectionEngine fresh_reference(fresh_corpus, engine_options);

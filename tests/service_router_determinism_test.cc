@@ -44,10 +44,10 @@ void ExpectSameTriple(const RougeTriple& got, const RougeTriple& want) {
 
 /// Bit-for-bit payload equality, plus (by default) the cache flags — a
 /// router must not just compute the same answer but hit the same warm
-/// paths. `check_flags = false` compares payloads only: the windowed
-/// batch path deliberately reports different warm-state flags
-/// (prefetched requests are cache hits) while the payloads stay
-/// bit-identical.
+/// paths. `check_flags = false` compares payloads only: on a pooled
+/// engine a target repeated under other options races its siblings,
+/// so its warm-state flags depend on scheduling while the payloads
+/// stay bit-identical.
 void ExpectSameResponse(const Result<SelectResponse>& got,
                         const Result<SelectResponse>& want,
                         const std::string& where, bool check_flags = true) {
@@ -198,32 +198,6 @@ TEST_P(RouterDeterminismTest, SelectBatchMatchesTheSingleEngine) {
   }
 }
 
-TEST_P(RouterDeterminismTest, WindowedSelectBatchMatchesWindowedEngine) {
-  // With batch_kernel_window set, engine AND router stage each window's
-  // prepares up front.
-  // Shard sub-batches window independently of the single engine's
-  // stream, yet responses — including the warm-state flags — must still
-  // match: every prefetched request is a cache hit on both sides, and
-  // repeats memo-hit in request order either way.
-  EngineOptions engine_options;
-  engine_options.threads = 1;
-  engine_options.batch_kernel_window = 3;
-  std::vector<SelectRequest> requests = MixedStream(*SuiteCorpus());
-  const auto& want = ReferenceAnswers("windowed", [&] {
-    return SelectionEngine(SuiteCorpus(), engine_options).SelectBatch(requests);
-  });
-  auto router = MakeRouter(engine_options);
-
-  std::vector<Result<SelectResponse>> got = router->SelectBatch(requests);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ExpectSameResponse(got[i], want[i],
-                       "windowed batch[" + std::to_string(i) +
-                           "] target=" + requests[i].target_id,
-                       check_flags());
-  }
-}
-
 TEST_P(RouterDeterminismTest, PriorityClassIsPayloadInvisible) {
   // The scheduling class is a runtime control like deadline/cancel: it
   // decides who waits, never what is computed. A stream stamped kBatch
@@ -284,45 +258,16 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-TEST(BatchKernelWindowTest, WindowedBatchPayloadsMatchUnwindowed) {
-  // The window is a scheduling/locality knob only: payloads (and
-  // per-request statuses) are bit-identical to the unwindowed batch.
-  // Warm-state flags differ by design — every valid windowed request is
-  // prepared by its window's prefetch, so it reports cache_hit.
-  auto corpus = MakeCorpus(80);
-  EngineOptions serial_options;
-  serial_options.threads = 1;
-  SelectionEngine reference(corpus, serial_options);
-  EngineOptions windowed_options = serial_options;
-  windowed_options.batch_kernel_window = 3;
-  SelectionEngine windowed(corpus, windowed_options);
-
-  std::vector<SelectRequest> requests = MixedStream(*corpus);
-  std::vector<Result<SelectResponse>> want = reference.SelectBatch(requests);
-  std::vector<Result<SelectResponse>> got = windowed.SelectBatch(requests);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ExpectSameResponse(got[i], want[i],
-                       "windowed-vs-plain[" + std::to_string(i) + "]",
-                       /*check_flags=*/false);
-    if (got[i].ok()) {
-      EXPECT_TRUE(got[i].value().cache_hit)
-          << "windowed request " << i << " should be prefetched";
-    }
-  }
-}
-
-TEST(BatchKernelWindowTest, PooledWindowCoalescesExactRepeats) {
-  // On a pooled engine, exact repeats inside one window run behind
-  // their head on its lane, so they deterministically memo-hit instead
-  // of racing. Payloads still match the serial unwindowed reference.
+TEST(PooledBatchTest, PooledBatchCoalescesExactRepeats) {
+  // On a pooled engine, exact repeats run behind their head on its
+  // lane, so they deterministically memo-hit instead of racing.
+  // Payloads still match the serial reference.
   auto corpus = MakeCorpus(80);
   EngineOptions serial_options;
   serial_options.threads = 1;
   SelectionEngine reference(corpus, serial_options);
   EngineOptions pooled_options;
   pooled_options.threads = 2;
-  pooled_options.batch_kernel_window = 64;  // One window spans the batch.
   SelectionEngine pooled(corpus, pooled_options);
 
   std::vector<SelectRequest> requests = MixedStream(*corpus);
@@ -331,14 +276,14 @@ TEST(BatchKernelWindowTest, PooledWindowCoalescesExactRepeats) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ExpectSameResponse(got[i], want[i],
-                       "pooled-window[" + std::to_string(i) + "]",
+                       "pooled-batch[" + std::to_string(i) + "]",
                        /*check_flags=*/false);
   }
-  // MixedStream indices 9..11 repeat 0..2 exactly — same window here.
+  // MixedStream indices 9..11 repeat 0..2 exactly.
   for (size_t i = 9; i < 12; ++i) {
     ASSERT_TRUE(got[i].ok());
     EXPECT_TRUE(got[i].value().result_cache_hit)
-        << "in-window repeat " << i << " must memo-hit its head";
+        << "repeat " << i << " must memo-hit its head";
   }
 }
 

@@ -1,6 +1,7 @@
 // Integration tests for the comparesets CLI binary: each subcommand is
-// executed as a child process and its output checked. The binary path
-// is injected by CMake (COMPARESETS_CLI_PATH).
+// executed as a child process and its output checked. The binary paths
+// are injected by CMake (COMPARESETS_CLI_PATH, and
+// COMPARESETS_SHARD_SERVER_PATH for the shard_server flag checks).
 
 #include <gtest/gtest.h>
 
@@ -14,15 +15,18 @@ namespace {
 #ifndef COMPARESETS_CLI_PATH
 #error "COMPARESETS_CLI_PATH must be defined by the build"
 #endif
+#ifndef COMPARESETS_SHARD_SERVER_PATH
+#error "COMPARESETS_SHARD_SERVER_PATH must be defined by the build"
+#endif
 
 struct CommandResult {
   int exit_code = -1;
   std::string output;
 };
 
-CommandResult RunCli(const std::string& arguments) {
-  std::string command =
-      std::string(COMPARESETS_CLI_PATH) + " " + arguments + " 2>&1";
+// Runs `command_line` with stderr folded into the captured stdout.
+CommandResult RunCommand(const std::string& command_line) {
+  std::string command = command_line + " 2>&1";
   CommandResult result;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -34,6 +38,10 @@ CommandResult RunCli(const std::string& arguments) {
   int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+CommandResult RunCli(const std::string& arguments) {
+  return RunCommand(std::string(COMPARESETS_CLI_PATH) + " " + arguments);
 }
 
 TEST(CliTest, NoArgumentsPrintsUsageAndFails) {
@@ -229,31 +237,70 @@ TEST(CliTest, ServeShardedAnswersTheSameQueries) {
   EXPECT_EQ(bad.exit_code, 2);
 }
 
-TEST(CliTest, ServeWindowedBatchPrefetchesColdQueries) {
-  std::string path = ::testing::TempDir() + "/comparesets_cli_windowq.txt";
-  {
-    FILE* f = fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("cellphone-P00000\n"
-          "cellphone-P00001 CompaReSetS 2\n"
-          "cellphone-P00002 Crs 2\n",
-          f);
-    fclose(f);
+TEST(CliTest, RemovedWindowFlagIsUnknown) {
+  for (const std::string& command :
+       {std::string(COMPARESETS_CLI_PATH) +
+            " serve --products 40 --window 4 --queries /dev/null",
+        std::string(COMPARESETS_SHARD_SERVER_PATH) + " --listen unix:" +
+            ::testing::TempDir() + "/comparesets_window.sock --window 4"}) {
+    CommandResult result = RunCommand(command);
+    EXPECT_EQ(result.exit_code, 2) << command << ": " << result.output;
+    EXPECT_NE(result.output.find("unknown flag: --window"), std::string::npos)
+        << result.output;
   }
-  // --window stages the batch in windows whose unique instances are
-  // prepared before the requests execute, so even cold queries report a
-  // warm vector cache. Payloads are
-  // bit-identical with the window on or off (the engine determinism
-  // tests pin that); this exercises the CLI plumbing end to end.
-  CommandResult result = RunCli(
-      "serve --products 40 --threads 1 --window 4 --queries " + path);
-  std::remove(path.c_str());
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("Answered 3 queries (0 failed)"),
-            std::string::npos)
-      << result.output;
-  EXPECT_EQ(result.output.find("cache=miss"), std::string::npos)
-      << result.output;
+}
+
+// The engine's count flags, each refused when negative: a plain cast
+// would wrap -1 to 2^64 - 1 (for --threads, a pool the scheduler cannot
+// reserve).
+const char* const kCountFlags[] = {"threads",       "intra_threads",
+                                   "cache_capacity", "max_in_flight",
+                                   "max_queue",     "max_batch_queue",
+                                   "retries"};
+
+TEST(CliTest, ServeRefusesNegativeCountFlags) {
+  for (const char* transport : {"local", "rpc"}) {
+    for (const char* flag : kCountFlags) {
+      CommandResult result =
+          RunCli(std::string("serve --products 40 --transport ") + transport +
+                 " --" + flag + " -1 --queries /dev/null");
+      EXPECT_EQ(result.exit_code, 2) << transport << " " << flag << ": "
+                                     << result.output;
+      EXPECT_NE(result.output.find(std::string("--") + flag +
+                                   " must be >= 0, got -1"),
+                std::string::npos)
+          << result.output;
+      // Refused before a shard server is spawned or a query answered.
+      EXPECT_EQ(result.output.find("Answered"), std::string::npos)
+          << result.output;
+    }
+  }
+}
+
+TEST(CliTest, SelectAndNarrowRefuseNegativeCounts) {
+  for (const char* command :
+       {"select --products 40 --m -1", "narrow --products 40 --k -1"}) {
+    CommandResult result = RunCli(command);
+    EXPECT_EQ(result.exit_code, 2) << command << ": " << result.output;
+    EXPECT_NE(result.output.find("must be >= 0, got -1"), std::string::npos)
+        << result.output;
+  }
+}
+
+TEST(CliTest, ShardServerRefusesNegativeCountFlags) {
+  for (const char* flag : kCountFlags) {
+    CommandResult result = RunCommand(
+        std::string(COMPARESETS_SHARD_SERVER_PATH) +
+        " --listen unix:" + ::testing::TempDir() +
+        "/comparesets_negative_count.sock --products 40 --" + flag + " -1");
+    EXPECT_EQ(result.exit_code, 2) << flag << ": " << result.output;
+    EXPECT_NE(result.output.find(std::string("--") + flag +
+                                 " must be >= 0, got -1"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("LISTENING"), std::string::npos)
+        << result.output;
+  }
 }
 
 TEST(CliTest, ServeReportsUnknownTargetsWithoutPoisoningBatch) {

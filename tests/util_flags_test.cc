@@ -70,6 +70,32 @@ TEST_F(FlagsTest, BadIntIsError) {
   EXPECT_FALSE(Parse({"--count=1.5"}).ok());
 }
 
+TEST_F(FlagsTest, OutOfRangeIntIsError) {
+  // 2^32 + 1 would truncate to 1 through a plain int cast.
+  for (const char* arg : {"--count=4294967297", "--count=-4294967297",
+                          "--count=2147483648", "--count=-2147483649",
+                          "--count=99999999999999999999"}) {
+    Status status = Parse({arg});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+  }
+  EXPECT_EQ(flags_.GetInt("count"), 10);
+  ASSERT_TRUE(Parse({"--count=2147483647"}).ok());
+  EXPECT_EQ(flags_.GetInt("count"), 2147483647);
+  ASSERT_TRUE(Parse({"--count=-2147483648"}).ok());
+  EXPECT_EQ(flags_.GetInt("count"), -2147483647 - 1);
+}
+
+TEST_F(FlagsTest, CountRefusesNegativeValues) {
+  ASSERT_TRUE(Parse({"--count=0"}).ok());
+  auto zero = flags_.GetCount("count");
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(zero.value(), 0u);
+  ASSERT_TRUE(Parse({"--count=-1"}).ok());
+  auto negative = flags_.GetCount("count");
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(FlagsTest, BadDoubleIsError) {
   EXPECT_FALSE(Parse({"--rate=fast"}).ok());
 }

@@ -3,10 +3,11 @@
 #   cmake -DBASELINE_DIR=results -DCANDIDATE_DIR=bench-results \
 #         [-DTHRESHOLD_PCT=30] -P tools/bench_compare.cmake
 #
-# For every *.json present in BOTH directories, walks the candidate
-# document and compares each timing leaf (a number whose key ends in
-# "_ms" or contains "seconds") against the committed baseline at the
-# same JSON path. A candidate more than THRESHOLD_PCT percent slower
+# For every *.json present in BOTH directories and measured at the same
+# `hw_concurrency` (a file whose core counts differ is skipped with a
+# note), walks the candidate document and compares each timing leaf (a
+# number whose key ends in "_ms" or contains "seconds") against the
+# committed baseline at the same JSON path. A candidate more than THRESHOLD_PCT percent slower
 # prints a WARNING naming the file, path, and both values.
 #
 # Deliberately NEVER fails: shared CI runners are too noisy for timings
@@ -149,6 +150,17 @@ foreach(candidate_path ${candidate_files})
   endif()
   file(READ "${candidate_path}" CANDIDATE_JSON)
   file(READ "${baseline_path}" BASELINE_JSON)
+  # Timings taken at another core count are not comparable.
+  string(JSON baseline_cores ERROR_VARIABLE baseline_cores_error
+      GET "${BASELINE_JSON}" hw_concurrency)
+  string(JSON candidate_cores ERROR_VARIABLE candidate_cores_error
+      GET "${CANDIDATE_JSON}" hw_concurrency)
+  if(NOT baseline_cores STREQUAL candidate_cores)
+    message(STATUS "bench_compare: ${name} baseline hw_concurrency "
+        "${baseline_cores} vs candidate ${candidate_cores}; skipping "
+        "(unlike specs)")
+    continue()
+  endif()
   math(EXPR FILES_COMPARED "${FILES_COMPARED} + 1")
   walk_node("${name}")
 endforeach()

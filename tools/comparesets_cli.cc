@@ -4,7 +4,7 @@
 //   comparesets select  [data flags] [--target ID] [--algorithm A] [--m N]
 //   comparesets narrow  [data flags] [--target ID] [--k N] [--m N]
 //   comparesets serve   [data flags] [--queries F] [--threads N]
-//                       [--intra_threads N] [--shards N] [--window N]
+//                       [--intra_threads N] [--shards N]
 //                       [--metrics] [--prometheus] [--deadline_ms D]
 //                       [--max_in_flight N] [--retries R] [--trace_out F]
 //                       [--transport local|rpc] [--shard_server PATH]
@@ -41,6 +41,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -155,6 +157,10 @@ int RunExport(const FlagParser& flags) {
 }
 
 int RunSelect(const FlagParser& flags, bool narrow) {
+  auto m = flags.GetCount("m");
+  if (!m.ok()) return UsageError(m.status());
+  auto core_size = flags.GetCount("k");
+  if (!core_size.ok()) return UsageError(core_size.status());
   auto corpus = LoadData(flags);
   if (!corpus.ok()) return UsageError(corpus.status());
   auto instance = PickInstance(corpus.value(), flags.GetString("target"));
@@ -164,7 +170,7 @@ int RunSelect(const FlagParser& flags, bool narrow) {
   InstanceVectors vectors = BuildInstanceVectors(model, instance.value());
 
   SelectorOptions options;
-  options.m = static_cast<size_t>(flags.GetInt("m"));
+  options.m = m.value();
   options.lambda = flags.GetDouble("lambda");
   options.mu = flags.GetDouble("mu");
   auto selector = MakeSelector(flags.GetString("algorithm"));
@@ -181,8 +187,7 @@ int RunSelect(const FlagParser& flags, bool narrow) {
 
   std::vector<size_t> items;
   if (narrow) {
-    size_t k = std::min<size_t>(static_cast<size_t>(flags.GetInt("k")),
-                                instance.value().num_items());
+    size_t k = std::min(core_size.value(), instance.value().num_items());
     SimilarityGraph graph =
         BuildSimilarityGraph(vectors, result.value().selections,
                              options.lambda, options.mu);
@@ -228,13 +233,14 @@ Result<QualityTier> ResolveTierFloor(const FlagParser& flags) {
 Result<std::vector<SelectRequest>> ParseQueries(std::istream& in,
                                                 const FlagParser& flags) {
   SelectorOptions defaults;
-  defaults.m = static_cast<size_t>(flags.GetInt("m"));
+  COMPARESETS_ASSIGN_OR_RETURN(defaults.m, flags.GetCount("m"));
   defaults.lambda = flags.GetDouble("lambda");
   defaults.mu = flags.GetDouble("mu");
   COMPARESETS_ASSIGN_OR_RETURN(defaults.min_tier, ResolveTierFloor(flags));
-  defaults.sample_threshold =
-      static_cast<size_t>(flags.GetInt("sample_threshold"));
-  defaults.sample_size = static_cast<size_t>(flags.GetInt("sample_size"));
+  COMPARESETS_ASSIGN_OR_RETURN(defaults.sample_threshold,
+                               flags.GetCount("sample_threshold"));
+  COMPARESETS_ASSIGN_OR_RETURN(defaults.sample_size,
+                               flags.GetCount("sample_size"));
 
   std::vector<SelectRequest> requests;
   std::string line;
@@ -335,22 +341,24 @@ size_t PrintServeResponses(const std::vector<SelectRequest>& requests,
 }
 
 // Copies the serve-relevant engine flags into EngineOptions; refuses
-// flags that do not parse.
+// flags that do not parse and negative counts.
 Status FillEngineOptions(const FlagParser& flags,
                          EngineOptions* engine_options) {
-  engine_options->threads = static_cast<size_t>(flags.GetInt("threads"));
-  engine_options->max_intra_request_threads =
-      static_cast<size_t>(flags.GetInt("intra_threads"));
-  engine_options->cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache_capacity"));
-  engine_options->max_in_flight =
-      static_cast<size_t>(flags.GetInt("max_in_flight"));
-  engine_options->max_queue = static_cast<size_t>(flags.GetInt("max_queue"));
-  engine_options->max_batch_queue =
-      static_cast<size_t>(flags.GetInt("max_batch_queue"));
-  engine_options->max_attempts = flags.GetInt("retries") + 1;
-  engine_options->batch_kernel_window =
-      static_cast<size_t>(flags.GetInt("window"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->threads,
+                               flags.GetCount("threads"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->max_intra_request_threads,
+                               flags.GetCount("intra_threads"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->cache_capacity,
+                               flags.GetCount("cache_capacity"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->max_in_flight,
+                               flags.GetCount("max_in_flight"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->max_queue,
+                               flags.GetCount("max_queue"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->max_batch_queue,
+                               flags.GetCount("max_batch_queue"));
+  COMPARESETS_ASSIGN_OR_RETURN(size_t retries, flags.GetCount("retries"));
+  engine_options->max_attempts =
+      static_cast<int>(std::min<size_t>(retries + 1, INT_MAX));
   if (!ParseRequestPriority(flags.GetString("batch_priority"),
                             &engine_options->batch_priority)) {
     return Status::InvalidArgument(
@@ -395,7 +403,6 @@ pid_t SpawnShardServer(const std::string& binary, const FlagParser& flags,
       "--threads=" + std::to_string(flags.GetInt("threads")),
       "--intra_threads=" + std::to_string(flags.GetInt("intra_threads")),
       "--cache_capacity=" + std::to_string(flags.GetInt("cache_capacity")),
-      "--window=" + std::to_string(flags.GetInt("window")),
       "--max_in_flight=" + std::to_string(flags.GetInt("max_in_flight")),
       "--max_queue=" + std::to_string(flags.GetInt("max_queue")),
       "--max_batch_queue=" + std::to_string(flags.GetInt("max_batch_queue")),
@@ -452,7 +459,10 @@ void PrintShardHeader(const ShardRouter& router) {
   }
 }
 
-int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
+// `engine` holds the already-checked engine flags; the shard servers
+// are spawned with the same values.
+int RunServeRpc(const FlagParser& flags, const std::string& program_dir,
+                const EngineOptions& engine) {
   // Refused up front, before any child is spawned or query answered:
   // the delta builder lives in the serving process, so accepting the
   // flag here would silently serve the stale base corpus — the exact
@@ -470,8 +480,6 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
     return 2;
   }
   size_t num_shards = static_cast<size_t>(shards_flag);
-  auto floor = ResolveTierFloor(flags);
-  if (!floor.ok()) return UsageError(floor.status());
 
   // The router side derives the partition bounds from the same data the
   // servers load — CorpusPartitioner is deterministic, so both sides of
@@ -500,7 +508,8 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
       addresses.push_back("unix:/tmp/csrp-" + std::to_string(getpid()) + "-" +
                           std::to_string(s) + ".sock");
       pids.push_back(SpawnShardServer(binary, flags, shards_flag,
-                                      static_cast<int>(s), floor.value(),
+                                      static_cast<int>(s),
+                                      engine.min_quality_tier,
                                       addresses[s]));
     }
   }
@@ -532,7 +541,7 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
   // The scatter over remote shards is the only work on this process's
   // pool, so only its size matters here.
   RouterOptions router_options;
-  router_options.engine.threads = static_cast<size_t>(flags.GetInt("threads"));
+  router_options.engine.threads = engine.threads;
   auto router = ShardRouter::Create(bounds.value(), std::move(backends),
                                     router_options);
   if (!router.ok()) {
@@ -569,22 +578,18 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
 }
 
 int RunServe(const FlagParser& flags, const std::string& program_dir) {
-  RequestPriority batch_priority = RequestPriority::kBatch;
-  if (!ParseRequestPriority(flags.GetString("batch_priority"),
-                            &batch_priority)) {
-    std::fprintf(stderr, "--batch_priority must be interactive or batch\n");
-    return 2;
-  }
+  // Engine flags are checked before any pool is built or child spawned.
+  RouterOptions router_options;
+  Status filled = FillEngineOptions(flags, &router_options.engine);
+  if (!filled.ok()) return UsageError(filled);
   const std::string& transport = flags.GetString("transport");
-  if (transport == "rpc") return RunServeRpc(flags, program_dir);
+  if (transport == "rpc") {
+    return RunServeRpc(flags, program_dir, router_options.engine);
+  }
   if (transport != "local") {
     std::fprintf(stderr, "--transport must be local or rpc\n");
     return 2;
   }
-
-  RouterOptions router_options;
-  Status filled = FillEngineOptions(flags, &router_options.engine);
-  if (!filled.ok()) return UsageError(filled);
 
   auto corpus = LoadData(flags);
   if (!corpus.ok()) return UsageError(corpus.status());
@@ -773,9 +778,6 @@ int main(int argc, char** argv) {
                "lane cap for one request's internal fan-out"
                " (0 = whole pool, 1 = serial solve)");
   flags.AddInt("cache_capacity", 256, "engine vector-cache entries");
-  flags.AddInt("window", 0,
-               "batched-kernel window for serve batches"
-               " (0 = off, N = stage Gram builds N requests at a time)");
   flags.AddInt("shards", 1,
                "target-id range shards behind the serve router"
                " (1 = single engine)");

@@ -17,6 +17,8 @@
 // arrives (comparesets serve sends one per child on teardown) or the
 // process is signalled.
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -54,6 +56,36 @@ Result<Corpus> LoadData(const FlagParser& flags) {
   return GenerateCorpus(config);
 }
 
+// Copies the engine flags into EngineOptions; refuses flags that do not
+// parse and negative counts.
+Status FillEngineOptions(const FlagParser& flags,
+                         EngineOptions* engine_options) {
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->threads,
+                               flags.GetCount("threads"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->max_intra_request_threads,
+                               flags.GetCount("intra_threads"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->cache_capacity,
+                               flags.GetCount("cache_capacity"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->max_in_flight,
+                               flags.GetCount("max_in_flight"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->max_queue,
+                               flags.GetCount("max_queue"));
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->max_batch_queue,
+                               flags.GetCount("max_batch_queue"));
+  COMPARESETS_ASSIGN_OR_RETURN(size_t retries, flags.GetCount("retries"));
+  engine_options->max_attempts =
+      static_cast<int>(std::min<size_t>(retries + 1, INT_MAX));
+  if (!ParseRequestPriority(flags.GetString("batch_priority"),
+                            &engine_options->batch_priority)) {
+    return Status::InvalidArgument(
+        "--batch_priority must be interactive or batch");
+  }
+  COMPARESETS_ASSIGN_OR_RETURN(engine_options->min_quality_tier,
+                               ParseQualityTier(flags.GetString("min_tier")));
+  engine_options->shard_id = static_cast<size_t>(flags.GetInt("shard_index"));
+  return Status::OK();
+}
+
 int Run(const FlagParser& flags) {
   const std::string& listen = flags.GetString("listen");
   if (listen.empty()) {
@@ -65,6 +97,13 @@ int Run(const FlagParser& flags) {
   if (shards < 1 || shard_index < 0 || shard_index >= shards) {
     std::fprintf(stderr, "need 0 <= --shard_index < --shards (got %d/%d)\n",
                  shard_index, shards);
+    return 2;
+  }
+  // Checked before the corpus loads and the engine builds its pool.
+  EngineOptions engine_options;
+  Status filled = FillEngineOptions(flags, &engine_options);
+  if (!filled.ok()) {
+    std::fprintf(stderr, "%s\n", filled.ToString().c_str());
     return 2;
   }
 
@@ -99,33 +138,6 @@ int Run(const FlagParser& flags) {
     }
     shard_corpus = std::move(extracted).value();
   }
-
-  EngineOptions engine_options;
-  engine_options.threads = static_cast<size_t>(flags.GetInt("threads"));
-  engine_options.max_intra_request_threads =
-      static_cast<size_t>(flags.GetInt("intra_threads"));
-  engine_options.cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache_capacity"));
-  engine_options.max_in_flight =
-      static_cast<size_t>(flags.GetInt("max_in_flight"));
-  engine_options.max_queue = static_cast<size_t>(flags.GetInt("max_queue"));
-  engine_options.max_batch_queue =
-      static_cast<size_t>(flags.GetInt("max_batch_queue"));
-  if (!ParseRequestPriority(flags.GetString("batch_priority"),
-                            &engine_options.batch_priority)) {
-    std::fprintf(stderr, "--batch_priority must be interactive or batch\n");
-    return 2;
-  }
-  engine_options.max_attempts = flags.GetInt("retries") + 1;
-  engine_options.batch_kernel_window =
-      static_cast<size_t>(flags.GetInt("window"));
-  engine_options.shard_id = static_cast<size_t>(shard_index);
-  auto floor = ParseQualityTier(flags.GetString("min_tier"));
-  if (!floor.ok()) {
-    std::fprintf(stderr, "%s\n", floor.status().ToString().c_str());
-    return 2;
-  }
-  engine_options.min_quality_tier = floor.value();
 
   ShardKeyRange range;
   range.begin = bounds.value()[static_cast<size_t>(shard_index)];
@@ -195,8 +207,6 @@ int main(int argc, char** argv) {
                "lane cap for one request's internal fan-out"
                " (0 = whole pool, 1 = serial solve)");
   flags.AddInt("cache_capacity", 256, "engine vector-cache entries");
-  flags.AddInt("window", 0,
-               "batched-kernel window for sub-batches (0 = off)");
   flags.AddInt("max_in_flight", 0,
                "admission limit on concurrent solves (0 = unthrottled)");
   flags.AddInt("max_queue", 64, "admission queue slots beyond max_in_flight");
