@@ -14,8 +14,7 @@
 // The two paths must produce identical NOMP supports on every budget;
 // the mode fails (non-zero exit) if they diverge. The mode also times
 // the Gram-path work under each kernel-dispatch target (scalar, avx2
-// where the CPU has it) and under the batched NNLS entry point,
-// cross-checking that every target and the batched path return
+// where the CPU has it), cross-checking that every target returns
 // bit-identical results; --kernel=NAME pins the dispatch and restricts
 // the comparison to that target. Last, it times each item's CompaReSetS+
 // system at the serving shape (11 items) two ways — the materialized
@@ -595,9 +594,8 @@ int RunKernelComparison(const std::string& out_path,
 
   // -------------------------------------------------------------------
   // Per-dispatch-target rows: the same Gram-path work timed under each
-  // KernelDispatch target, plus the batched NNLS entry point. --kernel=
-  // NAME pins the dispatch and restricts the per-target rows to it (the
-  // batched row runs under the best target left enabled).
+  // KernelDispatch target. --kernel=NAME pins the dispatch and restricts
+  // the rows to it.
   std::vector<std::string> dispatch_targets;
   if (kernel_flag == "auto") {
     dispatch_targets.push_back("scalar");
@@ -606,9 +604,8 @@ int RunKernelComparison(const std::string& out_path,
     dispatch_targets.push_back(kernel_flag);
   }
 
-  // A window-sized batch of right-hand sides against one design matrix:
-  // four distinct targets, each repeated once — the bit-exact repeats
-  // memo-hit in SolveNnlsGramBatch.
+  // A batch of right-hand sides against one design matrix: four
+  // distinct targets, each repeated once.
   const size_t kBatch = 8;
   std::vector<Vector> batch_targets;
   batch_targets.reserve(kBatch);
@@ -624,18 +621,14 @@ int RunKernelComparison(const std::string& out_path,
   }
   std::vector<Vector> batch_vty(kBatch);
   std::vector<double> batch_norm2(kBatch);
-  std::vector<NnlsGramProblem> nnls_problems;
   for (size_t k = 0; k < kBatch; ++k) {
     system.v.MultiplyTranspose(batch_targets[k], &batch_vty[k]);
     batch_norm2[k] = batch_targets[k].Dot(batch_targets[k]);
   }
-  for (size_t k = 0; k < kBatch; ++k) {
-    nnls_problems.push_back({&batch_vty[k], batch_norm2[k]});
-  }
 
   // Cross-check first, as with dense-vs-gram above: every dispatch
-  // target and the batched entry point must return bit-identical
-  // numbers on this workload before any of them is timed.
+  // target must return bit-identical numbers on this workload before
+  // any of them is timed.
   auto same_vector = [](const Vector& a, const Vector& b) {
     if (a.size() != b.size()) return false;
     for (size_t i = 0; i < a.size(); ++i) {
@@ -651,23 +644,14 @@ int RunKernelComparison(const std::string& out_path,
                    dispatch_targets[t].c_str());
       return 1;
     }
-    std::vector<NnlsResult> batch_nnls =
-        SolveNnlsGramBatch(system.gram.gram, nnls_problems).ValueOrDie();
     GramSystem solo_gram = BuildGramSystem(system.v, batch_targets[0]);
     for (size_t k = 0; k < kBatch; ++k) {
       NnlsResult nnls_solo =
           SolveNnlsGram(system.gram.gram, batch_vty[k], batch_norm2[k])
               .ValueOrDie();
-      if (!same_vector(batch_nnls[k].x, nnls_solo.x)) {
-        std::fprintf(stderr,
-                     "batched result diverged from solo calls under %s at "
-                     "problem %zu — batching is NOT bit-transparent\n",
-                     dispatch_targets[t].c_str(), k);
-        return 1;
-      }
       if (t == 0) {
         reference_x.push_back(std::move(nnls_solo.x));
-      } else if (!same_vector(batch_nnls[k].x, reference_x[k])) {
+      } else if (!same_vector(nnls_solo.x, reference_x[k])) {
         std::fprintf(stderr,
                      "dispatch target %s diverged from %s at problem %zu — "
                      "targets are NOT bit-identical\n",
@@ -724,16 +708,6 @@ int RunKernelComparison(const std::string& out_path,
                        static_cast<double>(kBatch);
     dispatch.push_back(nnls_row);
   }
-  SetKernelDispatch(dispatch_targets.back().c_str());
-  DispatchTiming nnls_batched{"nnls_refit", "batched"};
-  nnls_batched.seconds = min_time_per_call([&] {
-                           auto results =
-                               SolveNnlsGramBatch(system.gram.gram,
-                                                  nnls_problems);
-                           benchmark::DoNotOptimize(results);
-                         }) /
-                         static_cast<double>(kBatch);
-  dispatch.push_back(nnls_batched);
   if (kernel_flag == "auto") SetKernelDispatch("auto");
 
   auto scalar_seconds = [&](const std::string& name) {
@@ -742,10 +716,8 @@ int RunKernelComparison(const std::string& out_path,
     }
     return 0.0;
   };
-  std::printf("\n%-14s %-10s %16s %12s   (batch of %zu, batched row under "
-              "%s)\n",
-              "kernel", "target", "us/problem", "vs scalar", kBatch,
-              dispatch_targets.back().c_str());
+  std::printf("\n%-14s %-10s %16s %12s   (batch of %zu)\n", "kernel",
+              "target", "us/problem", "vs scalar", kBatch);
   for (const DispatchTiming& d : dispatch) {
     double base = scalar_seconds(d.name);
     std::printf("%-14s %-10s %16.2f %11.2fx\n", d.name.c_str(),
@@ -789,7 +761,6 @@ int RunKernelComparison(const std::string& out_path,
   doc["kernels"] = JsonValue(std::move(kernel_json));
   doc["kernel_flag"] = kernel_flag;
   doc["batch"] = static_cast<int64_t>(kBatch);
-  doc["batched_rows_target"] = dispatch_targets.back();
   doc["dispatch"] = JsonValue(std::move(dispatch_json));
   doc["assembly"] = JsonValue(std::move(assembly_json));
   bench::StampMachine(&doc);

@@ -6,19 +6,62 @@
 
 namespace comparesets {
 
+namespace {
+
+/// Whether `owner` is the only reference to its object. use_count()
+/// alone is a relaxed read, which would not order this thread after
+/// another owner's last access before it let go; taking a reference
+/// first does, because the count's increment is an acquire-release
+/// read-modify-write on the counter that owner's release decremented.
+template <typename T>
+bool SoleOwner(const std::shared_ptr<T>& owner) {
+  std::shared_ptr<T> probe = owner;
+  return probe.use_count() == 2;
+}
+
+}  // namespace
+
 Status Corpus::AddProduct(Product product) {
   COMPARESETS_CHECK(!finalized_) << "AddProduct after Finalize()";
-  auto [it, inserted] = index_.emplace(product.id, products_.size());
-  if (!inserted) {
+  if (index_->count(product.id) != 0) {
     return Status::AlreadyExists("duplicate product id: " + product.id);
   }
-  products_.push_back(std::move(product));
+  if (!SoleOwner(index_)) index_ = std::make_shared<Index>(*index_);
+  index_->emplace(product.id, products_.size());
+  products_.slots_.push_back(std::make_shared<Product>(std::move(product)));
   return Status::OK();
+}
+
+Corpus Corpus::Subset(const Corpus& source,
+                      const std::vector<size_t>& indices) {
+  Corpus subset(source.name_);
+  subset.catalog_ = source.catalog_;
+  subset.index_ = source.index_;
+  std::vector<size_t> here(source.products_.size(), npos);
+  subset.products_.slots_.reserve(indices.size());
+  for (size_t index : indices) {
+    COMPARESETS_CHECK(index < source.products_.size())
+        << "product index out of range";
+    here[index] = subset.products_.size();
+    subset.products_.slots_.push_back(source.products_.slots_[index]);
+  }
+  // Index positions -> source positions -> subset positions (the
+  // source may itself be a subset).
+  const size_t indexed = source.positions_ ? source.positions_->size()
+                                           : source.products_.size();
+  auto positions = std::make_shared<std::vector<size_t>>(indexed, npos);
+  for (size_t i = 0; i < indexed; ++i) {
+    size_t at_source = source.positions_ ? (*source.positions_)[i] : i;
+    if (at_source != npos) (*positions)[i] = here[at_source];
+  }
+  subset.positions_ = std::move(positions);
+  subset.finalized_ = true;
+  return subset;
 }
 
 void Corpus::Finalize() {
   // The id index is maintained incrementally by AddProduct; finalizing
-  // freezes the product vector so pointers handed out stay valid.
+  // closes the corpus to new products.
   finalized_ = true;
 }
 
@@ -39,14 +82,29 @@ size_t Corpus::num_reviewers() const {
 }
 
 const Product* Corpus::Find(const std::string& product_id) const {
-  COMPARESETS_CHECK(finalized_) << "Find before Finalize()";
-  auto it = index_.find(product_id);
-  return it == index_.end() ? nullptr : &products_[it->second];
+  size_t index = IndexOf(product_id);
+  return index == npos ? nullptr : &products_[index];
+}
+
+size_t Corpus::IndexOf(const std::string& product_id) const {
+  COMPARESETS_CHECK(finalized_) << "lookup before Finalize()";
+  auto it = index_->find(product_id);
+  if (it == index_->end()) return npos;
+  return positions_ ? (*positions_)[it->second] : it->second;
+}
+
+std::shared_ptr<const Product> Corpus::FindShared(
+    const std::string& product_id) const {
+  size_t index = IndexOf(product_id);
+  if (index == npos) return nullptr;
+  return products_.slots_[index];
 }
 
 Product* Corpus::MutableProduct(size_t index) {
   COMPARESETS_CHECK(index < products_.size()) << "product index out of range";
-  return &products_[index];
+  ProductList::Slot& slot = products_.slots_[index];
+  if (!SoleOwner(slot)) slot = std::make_shared<Product>(*slot);
+  return slot.get();
 }
 
 std::vector<ProblemInstance> Corpus::BuildInstances(

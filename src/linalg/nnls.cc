@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -230,47 +229,6 @@ Result<NnlsResult> SolveNnlsGram(const Matrix& gram, const Vector& vty,
       workspace != nullptr ? *workspace : SolverWorkspace::ThreadLocal();
   GramView view{&gram, nullptr, gram.cols()};
   return SolveNnlsGramImpl(view, vty.raw(), b_norm2, options, ws);
-}
-
-Result<std::vector<NnlsResult>> SolveNnlsGramBatch(
-    const Matrix& gram, const std::vector<NnlsGramProblem>& problems,
-    const NnlsOptions& options, SolverWorkspace* workspace) {
-  if (gram.rows() != gram.cols()) {
-    return Status::InvalidArgument("gram matrix must be square");
-  }
-  SolverWorkspace& ws =
-      workspace != nullptr ? *workspace : SolverWorkspace::ThreadLocal();
-  GramView view{&gram, nullptr, gram.cols()};
-  std::vector<NnlsResult> out;
-  out.reserve(problems.size());
-  for (size_t i = 0; i < problems.size(); ++i) {
-    const NnlsGramProblem& problem = problems[i];
-    if (problem.vty == nullptr || problem.vty->size() != gram.cols()) {
-      return Status::InvalidArgument("gram rhs size mismatch");
-    }
-    // Exact-duplicate right-hand sides reuse the earlier trajectory's
-    // result: same (G, vty, ‖b‖²) bits ⇒ same solve, skipped entirely.
-    size_t dup = i;
-    for (size_t p = 0; p < i; ++p) {
-      if (problems[p].vty->size() == problem.vty->size() &&
-          problems[p].b_norm2 == problem.b_norm2 &&
-          std::memcmp(problems[p].vty->raw(), problem.vty->raw(),
-                      problem.vty->size() * sizeof(double)) == 0) {
-        dup = p;
-        break;
-      }
-    }
-    if (dup < i) {
-      out.push_back(out[dup]);
-      continue;
-    }
-    COMPARESETS_ASSIGN_OR_RETURN(
-        NnlsResult solved,
-        SolveNnlsGramImpl(view, problem.vty->raw(), problem.b_norm2, options,
-                          ws));
-    out.push_back(std::move(solved));
-  }
-  return out;
 }
 
 Result<NnlsResult> SolveNnlsGramSubset(const Matrix& gram,

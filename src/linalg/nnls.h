@@ -51,27 +51,6 @@ Result<NnlsResult> SolveNnlsGram(const Matrix& gram, const Vector& vty,
                                  const NnlsOptions& options = {},
                                  SolverWorkspace* workspace = nullptr);
 
-/// One right-hand side of a batched NNLS solve over a shared Gram
-/// matrix: `vty` = Aᵀb and `b_norm2` = ‖b‖² for that problem's b.
-struct NnlsGramProblem {
-  const Vector* vty = nullptr;
-  double b_norm2 = 0.0;
-};
-
-/// Solves every problem against the same `gram` in one call: one warm
-/// workspace (factor storage, flags, duals) serves the whole batch, and
-/// problems whose (vty, b_norm2) bit-match an earlier problem reuse its
-/// result outright. Each returned NnlsResult is bit-identical to
-/// SolveNnlsGram on that problem alone: Lawson–Hanson trajectories
-/// depend on their right-hand side, so distinct problems are NOT run in
-/// lockstep (that would change active-set op order and break
-/// bit-equality); the multi-RHS trsm kernels serve the within-solve
-/// batching instead.
-/// Fails fast on the first problem that fails.
-Result<std::vector<NnlsResult>> SolveNnlsGramBatch(
-    const Matrix& gram, const std::vector<NnlsGramProblem>& problems,
-    const NnlsOptions& options = {}, SolverWorkspace* workspace = nullptr);
-
 /// SolveNnlsGram restricted to the subset `vars` of the Gram system's
 /// columns (in the given order): solves over A[:, vars] without forming
 /// the submatrix. The result's x has vars.size() entries, aligned with

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "core/greedy_selector.h"
@@ -70,6 +72,73 @@ std::string ResultKey(const std::string& prepare_key,
   return key;
 }
 
+/// Publication carry-over: decides, key by key, whether a cache entry
+/// stored under the old epoch still holds for the new snapshot, and
+/// names its key there. An entry carries when its instance resolves, in
+/// both snapshots, to the same Product objects (pointer-identical, so
+/// the same ids and — products being immutable while shared — the same
+/// reviews) under the same aspect count: its vectors, solves and
+/// alignment would then come out bit for bit the same.
+class EpochCarry {
+ public:
+  EpochCarry(const IndexedCorpus& from, uint64_t from_epoch,
+             const IndexedCorpus& to, uint64_t to_epoch)
+      : from_(from),
+        to_(to),
+        from_prefix_(std::to_string(from_epoch) + '\x1f'),
+        to_prefix_(std::to_string(to_epoch) + '\x1f'),
+        same_aspects_(from.num_aspects() == to.num_aspects()) {}
+
+  /// `prepare_key` (a CacheKey) under the new epoch, or "" when the
+  /// entry must be dropped — its instance changed, or it was stored
+  /// under an epoch older than `from` by a request that raced an
+  /// earlier publication.
+  std::string Rekey(std::string_view prepare_key) {
+    if (!same_aspects_ || prepare_key.substr(0, from_prefix_.size()) !=
+                              from_prefix_) {
+      return {};
+    }
+    std::string instance_key(prepare_key.substr(from_prefix_.size()));
+    auto [it, inserted] = unchanged_.emplace(instance_key, false);
+    if (inserted) it->second = Unchanged(instance_key);
+    return it->second ? to_prefix_ + instance_key : std::string();
+  }
+
+ private:
+  /// `instance_key` is CacheKey minus the epoch: opinion | target |
+  /// explicit comparative ids.
+  bool Unchanged(const std::string& instance_key) const {
+    std::vector<std::string> fields;
+    size_t begin = 0;
+    while (true) {
+      size_t end = instance_key.find('\x1f', begin);
+      fields.push_back(instance_key.substr(begin, end - begin));
+      if (end == std::string::npos) break;
+      begin = end + 1;
+    }
+    if (fields.size() < 2) return false;
+    if (fields.size() == 2) {
+      const ProblemInstance* from = from_.FindInstance(fields[1]);
+      const ProblemInstance* to = to_.FindInstance(fields[1]);
+      return from != nullptr && to != nullptr && from->items == to->items;
+    }
+    for (size_t f = 1; f < fields.size(); ++f) {
+      const Product* from = from_.FindProduct(fields[f]);
+      if (from == nullptr || from != to_.FindProduct(fields[f])) return false;
+    }
+    return true;
+  }
+
+  const IndexedCorpus& from_;
+  const IndexedCorpus& to_;
+  const std::string from_prefix_;
+  const std::string to_prefix_;
+  const bool same_aspects_;
+  /// Decisions so far, by instance key (the memo repeats the vector
+  /// cache's instances).
+  std::unordered_map<std::string, bool> unchanged_;
+};
+
 }  // namespace
 
 PipelineOptions EngineOptions::pipeline_options() const {
@@ -86,7 +155,8 @@ SelectionEngine::SelectionEngine(std::shared_ptr<const IndexedCorpus> corpus,
                                  EngineOptions options)
     : options_(options),
       corpus_(std::move(corpus)),
-      cache_(options.cache_capacity) {
+      cache_(options.cache_capacity),
+      result_memo_(std::max<size_t>(1, options.result_capacity)) {
   // Standalone engine: a private pipeline and pool from its own knobs.
   if (options_.pipeline == nullptr) {
     options_.pipeline =
@@ -127,21 +197,40 @@ Status SelectionEngine::Publish(std::shared_ptr<const IndexedCorpus> corpus,
       return injected;
     }
   }
+  std::shared_ptr<const IndexedCorpus> old_corpus;
+  uint64_t old_epoch;
   {
     std::lock_guard<std::mutex> lock(corpus_mutex_);
-    corpus_ = std::move(corpus);
-    ++corpus_epoch_;
+    old_corpus = std::exchange(corpus_, corpus);
+    old_epoch = corpus_epoch_++;
   }
-  // Entries of the old epoch can no longer match any key; drop them now
-  // so the capacity serves the new snapshot. A racing Put from an in-
-  // flight request re-inserts under its old epoch key at worst — dead
-  // weight that LRU eviction reclaims, never a stale answer.
-  cache_.Clear();
+  // Move the entries the new snapshot leaves unchanged to the new
+  // epoch's keys and drop the rest, so the capacity serves the new
+  // snapshot. A Put racing this from a request that resolved against
+  // the old snapshot lands either before the re-key (and is judged with
+  // the rest) or after it, under the old epoch's key — dead weight that
+  // LRU eviction or the next Publish reclaims, never a stale answer.
+  EpochCarry carry(*old_corpus, old_epoch, *corpus, old_epoch + 1);
+  RekeyCounts vectors =
+      cache_.Rekey([&](const std::string& key) { return carry.Rekey(key); });
+  RekeyCounts memo;
   {
     std::lock_guard<std::mutex> lock(result_mutex_);
-    result_lru_.clear();
-    result_index_.clear();
+    memo = result_memo_.Rekey(
+        [&](const std::string& key, MemoEntry& entry) {
+          std::string_view whole(key);
+          std::string prepare_key =
+              carry.Rekey(whole.substr(0, entry.prepare_key_size));
+          if (prepare_key.empty()) return prepare_key;
+          std::string_view options = whole.substr(entry.prepare_key_size);
+          entry.prepare_key_size = prepare_key.size();
+          return prepare_key.append(options);
+        });
   }
+  metrics_.counter("engine.publish_carried").Increment(vectors.kept +
+                                                        memo.kept);
+  metrics_.counter("engine.publish_dropped").Increment(vectors.dropped +
+                                                        memo.dropped);
   metrics_.counter("engine.corpus_swaps").Increment();
   if (reviews_added > 0) {
     ingested_reviews_.fetch_add(reviews_added, std::memory_order_relaxed);
@@ -154,32 +243,25 @@ Status SelectionEngine::Publish(std::shared_ptr<const IndexedCorpus> corpus,
 bool SelectionEngine::ResultLookup(const std::string& key,
                                    SelectResponse* out) const {
   std::lock_guard<std::mutex> lock(result_mutex_);
-  auto it = result_index_.find(key);
-  if (it == result_index_.end()) return false;
-  result_lru_.splice(result_lru_.begin(), result_lru_, it->second);
-  *out = result_lru_.front().response;
+  MemoEntry* found = result_memo_.Find(key);
+  if (found == nullptr) return false;
+  *out = found->response;
   return true;
 }
 
 void SelectionEngine::ResultStore(const std::string& key,
+                                  size_t prepare_key_size,
                                   const SelectResponse& response) const {
-  std::lock_guard<std::mutex> lock(result_mutex_);
-  auto it = result_index_.find(key);
-  if (it != result_index_.end()) {
-    it->second->response = response;
-    result_lru_.splice(result_lru_.begin(), result_lru_, it->second);
-    return;
+  bool evicted;
+  {
+    std::lock_guard<std::mutex> lock(result_mutex_);
+    evicted = result_memo_.Put(key, MemoEntry{prepare_key_size, response});
   }
-  if (result_lru_.size() >= options_.result_capacity) {
-    result_index_.erase(result_lru_.back().key);
-    result_lru_.pop_back();
-  }
-  result_lru_.push_front(ResultEntry{key, response});
-  result_index_[key] = result_lru_.begin();
+  if (evicted) metrics_.counter("engine.result_evictions").Increment();
 }
 
 Result<std::shared_ptr<const PreparedInstance>> SelectionEngine::Prepare(
-    std::shared_ptr<const IndexedCorpus> corpus, const std::string& key,
+    const IndexedCorpus& corpus, const std::string& key,
     const SelectRequest& request, bool* cache_hit) const {
   if (options_.fault_injector) {
     COMPARESETS_RETURN_NOT_OK(
@@ -191,24 +273,29 @@ Result<std::shared_ptr<const PreparedInstance>> SelectionEngine::Prepare(
   }
   *cache_hit = false;
 
-  // Miss: resolve the instance against the snapshot.
-  ProblemInstance instance;
+  // Miss: resolve the instance against the snapshot, sharing its
+  // products with the bundle.
+  const Corpus& catalog = corpus.corpus();
+  std::vector<std::shared_ptr<const Product>> products;
   if (request.comparative_ids.empty()) {
-    const ProblemInstance* found = corpus->FindInstance(request.target_id);
+    const ProblemInstance* found = corpus.FindInstance(request.target_id);
     if (found == nullptr) {
       return Status::NotFound("no problem instance with target id '" +
                               request.target_id + "'");
     }
-    instance = *found;
+    for (const Product* item : found->items) {
+      products.push_back(catalog.FindShared(item->id));
+    }
   } else {
-    const Product* target = corpus->FindProduct(request.target_id);
+    std::shared_ptr<const Product> target =
+        catalog.FindShared(request.target_id);
     if (target == nullptr) {
       return Status::NotFound("unknown target product id '" +
                               request.target_id + "'");
     }
-    instance.items.push_back(target);
+    products.push_back(target);
     for (const std::string& id : request.comparative_ids) {
-      const Product* item = corpus->FindProduct(id);
+      std::shared_ptr<const Product> item = catalog.FindShared(id);
       if (item == nullptr) {
         return Status::NotFound("unknown comparative product id '" + id + "'");
       }
@@ -216,20 +303,18 @@ Result<std::shared_ptr<const PreparedInstance>> SelectionEngine::Prepare(
         return Status::InvalidArgument(
             "comparative id '" + id + "' is the target itself");
       }
-      instance.items.push_back(item);
+      products.push_back(std::move(item));
     }
   }
 
-  OpinionModel model(options_.opinion, corpus->num_aspects());
-  auto bundle =
-      PreparedInstance::Create(std::move(corpus), std::move(instance), model);
+  OpinionModel model(options_.opinion, corpus.num_aspects());
+  auto bundle = PreparedInstance::Create(std::move(products), model);
   cache_.Put(key, bundle);
-  return std::shared_ptr<const PreparedInstance>(std::move(bundle));
+  return bundle;
 }
 
 Result<SelectResponse> SelectionEngine::SelectAttempt(
-    const SelectRequest& request,
-    std::shared_ptr<const IndexedCorpus> corpus,
+    const SelectRequest& request, const IndexedCorpus& corpus,
     const std::string& prepare_key, const std::string& result_key,
     const ExecControl& control, const ParallelContext& parallel,
     RequestTrace* trace) const {
@@ -237,8 +322,7 @@ Result<SelectResponse> SelectionEngine::SelectAttempt(
 
   Timer prepare_timer;
   bool cache_hit = false;
-  auto prepared =
-      Prepare(std::move(corpus), prepare_key, request, &cache_hit);
+  auto prepared = Prepare(corpus, prepare_key, request, &cache_hit);
   double prepare_seconds = prepare_timer.ElapsedSeconds();
   metrics_.counter(cache_hit ? "engine.cache_hits" : "engine.cache_misses")
       .Increment();
@@ -285,22 +369,20 @@ Result<SelectResponse> SelectionEngine::SelectAttempt(
   // kSampled are deterministic functions of the key (the sampling draw
   // is seeded), so they memoize like before.
   if (options_.result_capacity > 0 && response.tier != QualityTier::kAnytime) {
-    ResultStore(result_key, response);
+    ResultStore(result_key, prepare_key.size(), response);
   }
   return response;
 }
 
 Result<SelectResponse> SelectionEngine::DegradedAttempt(
-    const SelectRequest& request,
-    std::shared_ptr<const IndexedCorpus> corpus,
+    const SelectRequest& request, const IndexedCorpus& corpus,
     const std::string& prepare_key, const ExecControl& control,
     const ParallelContext& parallel, RequestTrace* trace) const {
   COMPARESETS_RETURN_NOT_OK(CheckLive(control, "degraded prepare"));
 
   Timer prepare_timer;
   bool cache_hit = false;
-  auto prepared =
-      Prepare(std::move(corpus), prepare_key, request, &cache_hit);
+  auto prepared = Prepare(corpus, prepare_key, request, &cache_hit);
   double prepare_seconds = prepare_timer.ElapsedSeconds();
   metrics_.counter(cache_hit ? "engine.cache_hits" : "engine.cache_misses")
       .Increment();
@@ -535,7 +617,7 @@ Result<SelectResponse> SelectionEngine::SelectAtPriority(
           LooserTier(request.options.min_tier, quality_floor());
       if (admitted.code() == StatusCode::kResourceExhausted &&
           floor != QualityTier::kExact) {
-        auto degraded = DegradedAttempt(request, corpus, prepare_key,
+        auto degraded = DegradedAttempt(request, *corpus, prepare_key,
                                         control, parallel, &trace);
         if (degraded.ok()) {
           metrics_.counter("engine.degraded").Increment();
@@ -556,7 +638,7 @@ Result<SelectResponse> SelectionEngine::SelectAtPriority(
       control, deadline,
       [&](int attempt) {
         trace.attempts = attempt;
-        return SelectAttempt(request, corpus, prepare_key, result_key,
+        return SelectAttempt(request, *corpus, prepare_key, result_key,
                              control, parallel, &trace);
       },
       [&](double slept_seconds) {
@@ -628,7 +710,7 @@ void SelectionEngine::RefreshGauges() const {
   {
     std::lock_guard<std::mutex> lock(result_mutex_);
     metrics_.SetGauge("result_cache.entries",
-                      static_cast<double>(result_lru_.size()));
+                      static_cast<double>(result_memo_.size()));
   }
 }
 

@@ -36,18 +36,17 @@
 #pragma once
 
 #include <atomic>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/selector.h"
 #include "eval/alignment.h"
 #include "service/fault_injector.h"
 #include "service/indexed_corpus.h"
+#include "service/lru_map.h"
 #include "service/metrics.h"
 #include "service/request_pipeline.h"
 #include "service/vector_cache.h"
@@ -241,9 +240,16 @@ class SelectionEngine {
 
   /// Publishes a new catalog snapshot — the one publication path, for
   /// wholesale swaps (reviews_added = 0) and streamed deltas from
-  /// service/ingest alike. The epoch moves, the vector cache and the
-  /// memo are invalidated, and in-flight requests keep the snapshot
-  /// they resolved against. `reviews_added` streamed reviews are
+  /// service/ingest alike. The epoch moves and in-flight requests keep
+  /// the snapshot they resolved against. Every vector-cache and memo
+  /// entry whose instance is unchanged moves to the new epoch's key;
+  /// the rest are dropped. Unchanged means the instance resolves, in
+  /// both snapshots, to the same item ids held by the very same
+  /// (shared, immutable) Product objects, under the same aspect count —
+  /// so a swap to freshly loaded products carries nothing, and a delta
+  /// keeps every instance none of whose products gained reviews
+  /// (counted in engine.publish_carried / engine.publish_dropped).
+  /// `reviews_added` streamed reviews are
   /// accounted into ingested_reviews(), which every subsequent
   /// RequestTrace carries as `ingest_records`. Shard-local: publishing
   /// here never moves another shard's epoch, so the other shards keep
@@ -328,8 +334,7 @@ class SelectionEngine {
   /// the retry loop in SelectAtPriority. `parallel` replaces the
   /// request options' context before the solve.
   Result<SelectResponse> SelectAttempt(
-      const SelectRequest& request,
-      std::shared_ptr<const IndexedCorpus> corpus,
+      const SelectRequest& request, const IndexedCorpus& corpus,
       const std::string& prepare_key, const std::string& result_key,
       const ExecControl& control, const ParallelContext& parallel,
       RequestTrace* trace) const;
@@ -352,8 +357,7 @@ class SelectionEngine {
   /// + the greedy incumbent, solved inline WITHOUT a pipeline slot.
   /// Never memoized — overload answers must not shadow exact ones.
   Result<SelectResponse> DegradedAttempt(const SelectRequest& request,
-                                         std::shared_ptr<const IndexedCorpus>
-                                             corpus,
+                                         const IndexedCorpus& corpus,
                                          const std::string& prepare_key,
                                          const ExecControl& control,
                                          const ParallelContext& parallel,
@@ -363,14 +367,16 @@ class SelectionEngine {
   /// prepared bundle, from cache when warm (under `key`, which already
   /// encodes the snapshot epoch). Sets *cache_hit accordingly.
   Result<std::shared_ptr<const PreparedInstance>> Prepare(
-      std::shared_ptr<const IndexedCorpus> corpus, const std::string& key,
+      const IndexedCorpus& corpus, const std::string& key,
       const SelectRequest& request, bool* cache_hit) const;
 
-  /// Result-memo LRU plumbing (guarded by result_mutex_). Lookup copies
-  /// the entry out under the lock and promotes it to most-recently-used.
+  /// Result-memo plumbing (guarded by result_mutex_). Lookup copies the
+  /// entry out under the lock and promotes it to most-recently-used;
+  /// Store records which prefix of `key` is the prepare key, so Publish
+  /// can carry the entry.
   bool ResultLookup(const std::string& key, SelectResponse* out) const;
-  void ResultStore(const std::string& key, const SelectResponse& response)
-      const;
+  void ResultStore(const std::string& key, size_t prepare_key_size,
+                   const SelectResponse& response) const;
 
   /// Publishes cache sizes as gauges (shared by DumpMetrics and
   /// SnapshotMetrics so both report fresh values).
@@ -379,23 +385,23 @@ class SelectionEngine {
   EngineOptions options_;
   mutable std::mutex corpus_mutex_;
   std::shared_ptr<const IndexedCorpus> corpus_;
-  /// Bumped by Publish; part of every cache key so an entry built
-  /// against an old snapshot can never serve a new one.
+  /// Bumped by Publish; part of every cache key, so an entry stored
+  /// against an old snapshot after Publish moved on lands under a dead
+  /// key and can never serve the new one.
   uint64_t corpus_epoch_ = 0;
   /// Sum of every Publish's reviews_added.
   std::atomic<uint64_t> ingested_reviews_{0};
   mutable VectorCache cache_;
 
   /// Fully solved responses, keyed on the vector-cache key extended
-  /// with selector name + every SelectorOptions field. Front = MRU.
-  struct ResultEntry {
-    std::string key;
+  /// with selector name + every SelectorOptions field.
+  struct MemoEntry {
+    /// Length of the key's prepare-key prefix.
+    size_t prepare_key_size = 0;
     SelectResponse response;
   };
   mutable std::mutex result_mutex_;
-  mutable std::list<ResultEntry> result_lru_;
-  mutable std::unordered_map<std::string, std::list<ResultEntry>::iterator>
-      result_index_;
+  mutable LruMap<MemoEntry> result_memo_;
 
   mutable std::atomic<uint64_t> next_request_id_{0};
   /// Degradation floor currently in force (QualityTier as int, so the

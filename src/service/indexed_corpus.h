@@ -6,14 +6,14 @@
 //
 // Instances are built once at construction and never mutated; the
 // object is always held behind shared_ptr<const IndexedCorpus>, so
-// concurrent readers (engine worker threads, cached vector entries that
-// outlive a catalog swap) need no locking.
+// concurrent readers (engine worker threads) need no locking. Its
+// products are shared with the corpus it was built from and with other
+// snapshots (data/corpus.h), and stay immutable while shared.
 
 #pragma once
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/corpus.h"
@@ -58,15 +58,15 @@ class IndexedCorpus {
       Corpus corpus, const InstanceOptions& options = {});
 
   /// Builds a snapshot from a pre-enumerated instance list instead of
-  /// re-running BuildInstances: each entry is one instance's item-id
-  /// list (target first), re-resolved against `corpus`'s own product
-  /// storage. This is how CorpusPartitioner guarantees shard instances
-  /// are bit-identical to the full corpus's enumeration — the filter
-  /// ran once, globally, and shards only re-point the ids. Fails when
-  /// the list is empty or references a product absent from `corpus`.
+  /// re-running BuildInstances: each non-empty entry is one instance's
+  /// items (target first) as positions in `corpus`'s products(); empty
+  /// entries are skipped. This is how CorpusPartitioner guarantees
+  /// shard instances are bit-identical to the full corpus's enumeration
+  /// — the filter ran once, globally, and shards only re-point the
+  /// items. Fails when no instance is listed or a position is out of
+  /// range.
   static Result<std::shared_ptr<const IndexedCorpus>> BuildFromInstances(
-      Corpus corpus,
-      const std::vector<std::vector<std::string>>& instance_item_ids,
+      Corpus corpus, const std::vector<std::vector<size_t>>& instance_items,
       const ShardSpec& shard = {});
 
   const Corpus& corpus() const { return corpus_; }
@@ -93,9 +93,14 @@ class IndexedCorpus {
  private:
   IndexedCorpus() = default;
 
+  /// Maps every instance's target position to its instance index.
+  void IndexTargets(const std::vector<size_t>& target_positions);
+
   Corpus corpus_;
   std::vector<ProblemInstance> instances_;
-  std::unordered_map<std::string, size_t> by_target_;
+  /// Product position -> index of the instance it is the target of
+  /// (npos = none).
+  std::vector<size_t> instance_of_;
   ShardSpec shard_;
 };
 

@@ -9,20 +9,30 @@
 //
 //   * Enumeration is maintained per target: Corpus::BuildInstances
 //     visits products in insertion order and emits one instance per
-//     eligible target, so the builder stores one (possibly empty)
-//     item-id list per product and re-derives ONLY the targets a batch
-//     can affect. A record for product P affects target T iff P == T or
-//     P appears in T's also-bought list — a reverse index built once at
-//     construction makes that lookup O(1). The concatenation of
-//     non-empty per-target lists is, by construction, exactly what
-//     BuildInstances would enumerate from scratch.
+//     eligible target, so the builder stores one (possibly empty) item
+//     list per product, as product positions, and re-derives ONLY the
+//     targets a batch can affect. A record for product P affects target
+//     T iff P == T or P appears in T's also-bought list — a reverse
+//     index built once at construction makes that lookup O(1). The
+//     concatenation of non-empty per-target lists is, by construction,
+//     exactly what BuildInstances would enumerate from scratch.
 //   * Shard snapshots are built by CorpusPartitioner::
 //     ExtractShardFromParts — the same code path a full re-extraction
 //     takes — under the partition bounds fixed at creation. A shard is
 //     re-built (and only then) when its instance slice changed or a
 //     product in its closure gained reviews; untouched shards are
 //     absent from the returned delta entirely, which is what keeps
-//     their engines' epochs still and their caches warm.
+//     their engines' epochs still and their caches warm. Per shard the
+//     builder keeps a reference count per product (how many of the
+//     shard's instances name it), updated only for the re-derived
+//     targets, so judging "touched" copies no enumeration.
+//   * Products are shared, copy-on-write (data/corpus.h): a review
+//     append copies only the product it lands on, and a rebuilt shard
+//     snapshot shares every product with the master and with the
+//     shard's previous snapshot. An instance none of whose products
+//     changed therefore resolves to the same Product objects in the new
+//     snapshot, which is how the engine knows to keep its cache entries
+//     (SelectionEngine::Publish).
 //
 // The correctness contract is the delta-vs-rebuild oracle
 // (tests/service_ingest_delta_test.cc): after ANY sequence of applied
@@ -46,8 +56,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "data/corpus.h"
@@ -110,10 +118,6 @@ class DeltaCorpusBuilder {
   /// The master corpus: base plus every applied record.
   const Corpus& corpus() const { return master_; }
 
-  /// Full enumeration of the master corpus as item-id lists, in
-  /// BuildInstances order (what a from-scratch enumeration would emit).
-  std::vector<std::vector<std::string>> InstanceItemIds() const;
-
   size_t num_shards() const { return bounds_.size(); }
   const std::vector<std::string>& bounds() const { return bounds_; }
   uint64_t batches_applied() const { return sequence_; }
@@ -121,29 +125,34 @@ class DeltaCorpusBuilder {
  private:
   DeltaCorpusBuilder() = default;
 
-  /// Recomputes product `target`'s instance item-id list, mirroring
+  /// Recomputes product `target`'s instance items, mirroring
   /// Corpus::BuildInstances for that one target (empty = ineligible).
-  std::vector<std::string> ComputeTargetItems(size_t target) const;
+  std::vector<size_t> ComputeTargetItems(size_t target) const;
 
-  /// The in-range slice of the current enumeration for shard `s`.
-  std::vector<std::vector<std::string>> ShardSlice(size_t s) const;
+  /// Adds (or removes) one reference from shard `shard` to every product
+  /// in `items`.
+  void CountClosure(size_t shard, const std::vector<size_t>& items, bool add);
 
   Options options_;
   Corpus master_;
   std::vector<std::string> bounds_;
   uint64_t sequence_ = 0;
 
-  /// Instance item-id list per product index; empty = no instance.
-  std::vector<std::vector<std::string>> per_target_items_;
-  /// product id -> product indices whose instance depends on it (the
-  /// product itself plus every target listing it as also-bought).
-  std::unordered_map<std::string, std::vector<size_t>> dependents_;
-  /// Per shard: the instance slice and product closure of the snapshot
-  /// the serving side currently holds (what "touched" is judged
-  /// against). For a single-shard builder the closure is implicitly the
-  /// whole catalog — the unsharded snapshot carries every product.
-  std::vector<std::vector<std::vector<std::string>>> shard_slices_;
-  std::vector<std::unordered_set<std::string>> shard_closures_;
+  /// Instance items per product position (target first, as positions
+  /// in master_); empty = no instance.
+  std::vector<std::vector<size_t>> per_target_items_;
+  /// The shard whose range holds each product's id.
+  std::vector<size_t> shard_of_;
+  /// Each product's also-bought list as positions (npos = unknown id).
+  std::vector<std::vector<size_t>> also_bought_;
+  /// Per product: the targets whose instance may depend on it (itself
+  /// plus every target listing it as also-bought).
+  std::vector<std::vector<size_t>> dependents_;
+  /// Per shard, per product: how many of the shard's instances name the
+  /// product. Its closure is the products counted above zero. For a
+  /// single-shard builder the closure is implicitly the whole catalog —
+  /// the unsharded snapshot carries every product.
+  std::vector<std::vector<uint32_t>> closure_refs_;
 };
 
 }  // namespace comparesets

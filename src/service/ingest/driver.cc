@@ -52,6 +52,9 @@ Result<IngestDrainStats> IngestDriver::DrainOnce() {
                                    builder_->ApplyBatch(batch));
       stats.records_applied += delta.records_applied;
       stats.records_dropped += delta.records_dropped;
+      router_->metrics()
+          .counter("ingest.records_dropped")
+          .Increment(delta.records_dropped);
       ++stats.batches;
       for (ShardDelta& shard : delta.shards) {
         COMPARESETS_RETURN_NOT_OK(router_->ApplyShardDelta(
@@ -62,9 +65,14 @@ Result<IngestDrainStats> IngestDriver::DrainOnce() {
   }
   // Advance past exactly the committed bytes: a torn/in-flight tail
   // (tail.dropped_bytes) is NOT consumed and will be re-read — by then
-  // either completed by the producer or still torn.
+  // either completed by the producer or still torn. A corrupt frame
+  // mid-log is never completed, so replay stops there on every drain;
+  // the pending-bytes gauge staying above 0 at an unmoving offset is
+  // how that shows.
   stats.bytes_consumed = tail.valid_bytes - offset;
   offset_.store(tail.valid_bytes, std::memory_order_relaxed);
+  router_->metrics().SetGauge("ingest.wal_pending_bytes",
+                              static_cast<double>(tail.dropped_bytes));
 
   std::lock_guard<std::mutex> lock(stats_mutex_);
   totals_.records_applied += stats.records_applied;

@@ -11,7 +11,11 @@
 // a crashed producer is simply not served yet. A partial trailing
 // frame during live tailing is indistinguishable from a torn tail —
 // the driver treats it as "not yet written" and re-reads it on the
-// next drain; only a final drain reports it as dropped.
+// next drain. The bytes past the committed prefix are exported as the
+// router registry's ingest.wal_pending_bytes gauge: a corrupt frame in
+// the middle of the log stops every drain at the same offset, and the
+// gauge staying above 0 is how that stall shows. Records naming
+// unknown products count into ingest.records_dropped there.
 //
 // Threading: DrainOnce is the whole unit of work and may be called
 // from any ONE thread at a time (the builder is not thread-safe).

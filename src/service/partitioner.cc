@@ -1,7 +1,6 @@
 #include "service/partitioner.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 namespace comparesets {
@@ -40,22 +39,24 @@ Result<std::vector<std::string>> CorpusPartitioner::ComputeBounds(
 Result<std::shared_ptr<const IndexedCorpus>> CorpusPartitioner::ExtractShard(
     const IndexedCorpus& full, const std::vector<std::string>& bounds,
     size_t shard_id) {
-  std::vector<std::vector<std::string>> instance_item_ids;
-  instance_item_ids.reserve(full.num_instances());
+  const Corpus& corpus = full.corpus();
+  std::vector<std::vector<size_t>> instance_items;
+  instance_items.reserve(full.num_instances());
   for (const ProblemInstance& instance : full.instances()) {
-    std::vector<std::string> item_ids;
-    item_ids.reserve(instance.items.size());
-    for (const Product* item : instance.items) item_ids.push_back(item->id);
-    instance_item_ids.push_back(std::move(item_ids));
+    std::vector<size_t> items;
+    items.reserve(instance.items.size());
+    for (const Product* item : instance.items) {
+      items.push_back(corpus.IndexOf(item->id));
+    }
+    instance_items.push_back(std::move(items));
   }
-  return ExtractShardFromParts(full.corpus(), instance_item_ids, bounds,
-                               shard_id);
+  return ExtractShardFromParts(corpus, instance_items, bounds, shard_id);
 }
 
 Result<std::shared_ptr<const IndexedCorpus>>
 CorpusPartitioner::ExtractShardFromParts(
     const Corpus& full_corpus,
-    const std::vector<std::vector<std::string>>& instance_item_ids,
+    const std::vector<std::vector<size_t>>& instance_items,
     const std::vector<std::string>& bounds, size_t shard_id) {
   if (bounds.empty() || !bounds[0].empty()) {
     return Status::InvalidArgument(
@@ -73,27 +74,45 @@ CorpusPartitioner::ExtractShardFromParts(
   spec.range.end =
       shard_id + 1 < bounds.size() ? bounds[shard_id + 1] : std::string();
 
-  // Slice the full corpus's enumeration and collect the product closure
-  // in one pass (invariants 1 and 2 from the header).
-  std::vector<std::vector<std::string>> shard_instances;
-  std::unordered_set<std::string> closure;
-  for (const std::vector<std::string>& item_ids : instance_item_ids) {
-    if (item_ids.empty() || !spec.range.Contains(item_ids[0])) continue;
-    for (const std::string& id : item_ids) closure.insert(id);
-    shard_instances.push_back(item_ids);
+  // Slice the full corpus's enumeration and mark the product closure in
+  // one pass (invariants 1 and 2 from the header).
+  const ProductList& products = full_corpus.products();
+  std::vector<const std::vector<size_t>*> slice;
+  std::vector<bool> in_closure(products.size(), false);
+  for (const std::vector<size_t>& items : instance_items) {
+    if (items.empty()) continue;
+    for (size_t index : items) {
+      if (index >= products.size()) {
+        return Status::Internal("instance references product position " +
+                                std::to_string(index) + " of " +
+                                std::to_string(products.size()));
+      }
+    }
+    if (!spec.range.Contains(products[items[0]].id)) continue;
+    for (size_t index : items) in_closure[index] = true;
+    slice.push_back(&items);
   }
 
-  // Copy closure products in original corpus order: instance vectors
-  // only depend on per-product content, but stable order keeps shard
+  // Closure products in original corpus order: instance vectors only
+  // depend on per-product content, but stable order keeps shard
   // corpora diffable and pointer-layout deterministic.
-  Corpus shard_corpus(full_corpus.name());
-  shard_corpus.catalog() = full_corpus.catalog();
-  for (const Product& product : full_corpus.products()) {
-    if (closure.count(product.id) == 0) continue;
-    COMPARESETS_RETURN_NOT_OK(shard_corpus.AddProduct(product));
+  std::vector<size_t> closure;
+  std::vector<size_t> shard_position(products.size(), Corpus::npos);
+  for (size_t p = 0; p < products.size(); ++p) {
+    if (!in_closure[p]) continue;
+    shard_position[p] = closure.size();
+    closure.push_back(p);
   }
-  return IndexedCorpus::BuildFromInstances(std::move(shard_corpus),
-                                           shard_instances, spec);
+  std::vector<std::vector<size_t>> shard_instances;
+  shard_instances.reserve(slice.size());
+  for (const std::vector<size_t>* items : slice) {
+    std::vector<size_t> shard_items;
+    shard_items.reserve(items->size());
+    for (size_t index : *items) shard_items.push_back(shard_position[index]);
+    shard_instances.push_back(std::move(shard_items));
+  }
+  return IndexedCorpus::BuildFromInstances(
+      Corpus::Subset(full_corpus, closure), shard_instances, spec);
 }
 
 Result<std::vector<std::shared_ptr<const IndexedCorpus>>>

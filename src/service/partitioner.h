@@ -16,9 +16,10 @@
 //      catalog and could change instance content.
 //   2. Each shard corpus holds the product *closure* of its instances:
 //      every in-range target plus every product any of its instances
-//      references as a comparative, copied in original corpus order.
-//      A comparative can therefore be replicated into several shards;
-//      that is the cost of shards answering without cross-shard RPCs.
+//      references as a comparative, in original corpus order. A
+//      comparative can therefore appear in several shards; the shards
+//      share it (Corpus::Subset), so that costs a pointer per shard,
+//      not a copy of its reviews.
 
 #pragma once
 
@@ -57,15 +58,16 @@ class CorpusPartitioner {
       std::shared_ptr<const IndexedCorpus> full, size_t num_shards);
 
   /// ExtractShard's core, on raw parts instead of a built IndexedCorpus:
-  /// `instance_item_ids` is the FULL corpus's enumeration as item-id
-  /// lists (target first), in enumeration order. This is the seam the
+  /// `instance_items` is the FULL corpus's enumeration, each instance's
+  /// items (target first) as positions in `full_corpus.products()`, in
+  /// enumeration order; empty entries are skipped. This is the seam the
   /// incremental ingestion builder (service/ingest/delta.h) shares with
   /// ExtractShard, so a delta-built shard snapshot is constructed by the
   /// very same code path a full re-extraction would take — which is what
   /// makes the delta-vs-rebuild oracle hold by construction.
   static Result<std::shared_ptr<const IndexedCorpus>> ExtractShardFromParts(
       const Corpus& full_corpus,
-      const std::vector<std::vector<std::string>>& instance_item_ids,
+      const std::vector<std::vector<size_t>>& instance_items,
       const std::vector<std::string>& bounds, size_t shard_id);
 };
 

@@ -175,6 +175,11 @@ class ShardRouter {
   /// shard. A remote shard's registry lives in its own process.
   std::string DumpMetrics() const;
 
+  /// The router-level registry: the router's own counters, plus the
+  /// instruments of what drives it from outside (the IngestDriver's
+  /// ingest.* counters and gauges). Dumped and exposed unlabeled.
+  MetricsRegistry& metrics() const { return metrics_; }
+
   /// Merged Prometheus exposition: router-level metrics unlabeled,
   /// every in-process shard engine's metrics labeled shard="<id>", one
   /// # TYPE header per family.

@@ -5,13 +5,16 @@
 namespace comparesets {
 
 std::shared_ptr<const PreparedInstance> PreparedInstance::Create(
-    std::shared_ptr<const IndexedCorpus> corpus, ProblemInstance instance,
+    std::vector<std::shared_ptr<const Product>> products,
     const OpinionModel& model) {
+  ProblemInstance instance;
+  instance.items.reserve(products.size());
+  for (const auto& product : products) instance.items.push_back(product.get());
   // Wire in two steps: the bundle's own `instance` must be at its final
   // address before BuildInstanceVectors and the alignment memo capture
   // pointers to it.
   auto bundle = std::make_shared<PreparedInstance>(PreparedInstance{
-      std::move(corpus), std::move(instance),
+      std::move(products), std::move(instance),
       InstanceVectors{model, nullptr, {}, {}, {}, {}}, nullptr});
   bundle->vectors = BuildInstanceVectors(model, bundle->instance);
   bundle->alignment_docs =
@@ -20,48 +23,38 @@ std::shared_ptr<const PreparedInstance> PreparedInstance::Create(
 }
 
 VectorCache::VectorCache(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity)) {}
+    : entries_(std::max<size_t>(1, capacity)) {}
 
 std::shared_ptr<const PreparedInstance> VectorCache::Get(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  std::shared_ptr<const PreparedInstance>* found = entries_.Find(key);
+  if (found == nullptr) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);  // Promote to MRU.
-  return it->second->value;
+  return *found;
 }
 
 void VectorCache::Put(const std::string& key,
                       std::shared_ptr<const PreparedInstance> value) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->value = std::move(value);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (lru_.size() >= capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  lru_.push_front(Entry{key, std::move(value)});
-  index_.emplace(key, lru_.begin());
+  if (entries_.Put(key, std::move(value))) ++evictions_;
 }
 
-void VectorCache::Clear() {
+RekeyCounts VectorCache::Rekey(
+    const std::function<std::string(const std::string&)>& rekey) {
   std::lock_guard<std::mutex> lock(mutex_);
-  index_.clear();
-  lru_.clear();
+  return entries_.Rekey(
+      [&](const std::string& key, const std::shared_ptr<const PreparedInstance>&) {
+        return rekey(key);
+      });
 }
 
 size_t VectorCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
+  return entries_.size();
 }
 
 VectorCacheStats VectorCache::Stats() const {
@@ -70,13 +63,13 @@ VectorCacheStats VectorCache::Stats() const {
   stats.hits = hits_;
   stats.misses = misses_;
   stats.evictions = evictions_;
-  stats.entries = lru_.size();
-  for (const Entry& entry : lru_) {
-    const PreparedInstance& bundle = *entry.value;
-    stats.approx_bytes += bundle.vectors.ApproxMemoryBytes() +
-                          bundle.vectors.block_cache->ApproxMemoryBytes() +
-                          bundle.alignment_docs->ApproxMemoryBytes();
-  }
+  stats.entries = entries_.size();
+  entries_.ForEach([&](const std::string&,
+                       const std::shared_ptr<const PreparedInstance>& bundle) {
+    stats.approx_bytes += bundle->vectors.ApproxMemoryBytes() +
+                          bundle->vectors.block_cache->ApproxMemoryBytes() +
+                          bundle->alignment_docs->ApproxMemoryBytes();
+  });
   return stats;
 }
 

@@ -5,9 +5,11 @@
 // pay it once, not per request.
 //
 // Entries are immutable PreparedInstance bundles held by shared_ptr:
-// a lookup hands out shared ownership, so an entry evicted (or
-// invalidated by a catalog swap) while a request is still computing on
-// it stays alive until that request finishes.
+// a lookup hands out shared ownership, so an entry evicted (or dropped
+// by a catalog publication) while a request is still computing on it
+// stays alive until that request finishes. A bundle owns the products
+// it was built from, not the snapshot, so an entry carried across
+// publications (SelectionEngine::Publish) keeps only those alive.
 //
 // Concurrency contract (docs/execution-model.md): the cache itself is
 // mutex-guarded, and a handed-out bundle is safe for any number of
@@ -22,37 +24,39 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "data/corpus.h"
 #include "eval/alignment.h"
 #include "opinion/vectors.h"
-#include "service/indexed_corpus.h"
+#include "service/lru_map.h"
 
 namespace comparesets {
 
 /// One cached, fully prepared problem instance. The bundle owns every
-/// layer a selector needs: the corpus snapshot (kept alive across
-/// catalog swaps), the instance (whose Product pointers reach into the
-/// snapshot), the derived vectors (whose `instance` pointer reaches
-/// into this same bundle, and whose block_cache holds the λ/μ-free
-/// per-item design blocks), and the interned alignment documents.
-/// Never moved after wiring — always heap-allocated behind shared_ptr.
+/// layer a selector needs: the instance's products (shared with the
+/// snapshots that hold them, and immutable while shared), the instance
+/// (whose Product pointers reach into them), the derived vectors (whose
+/// `instance` pointer reaches into this same bundle, and whose
+/// block_cache holds the λ/μ-free per-item design blocks), and the
+/// interned alignment documents. Never moved after wiring — always
+/// heap-allocated behind shared_ptr.
 struct PreparedInstance {
-  std::shared_ptr<const IndexedCorpus> corpus;
+  std::vector<std::shared_ptr<const Product>> products;
   ProblemInstance instance;
   InstanceVectors vectors;
   /// Per-review interned documents; the engine scores alignment from it.
   /// Heap-held so the bundle stays movable while the mutex stays put.
   std::unique_ptr<AlignmentDocumentMemo> alignment_docs;
 
-  /// Allocates a bundle and wires vectors.instance and the alignment
-  /// memo to the owned instance.
+  /// Allocates a bundle over `products` (target first) and wires the
+  /// instance, the vectors and the alignment memo to it.
   static std::shared_ptr<const PreparedInstance> Create(
-      std::shared_ptr<const IndexedCorpus> corpus, ProblemInstance instance,
+      std::vector<std::shared_ptr<const Product>> products,
       const OpinionModel& model);
 };
 
@@ -81,24 +85,19 @@ class VectorCache {
   void Put(const std::string& key,
            std::shared_ptr<const PreparedInstance> value);
 
-  /// Drops every entry (catalog swap). Counters are retained.
-  void Clear();
+  /// Catalog publication: moves each entry to the key `rekey` maps its
+  /// key to and drops those it maps to "" (LruMap::Rekey). Counters are
+  /// retained.
+  RekeyCounts Rekey(
+      const std::function<std::string(const std::string&)>& rekey);
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return entries_.capacity(); }
   size_t size() const;
   VectorCacheStats Stats() const;
 
  private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const PreparedInstance> value;
-  };
-
-  const size_t capacity_;
   mutable std::mutex mutex_;
-  /// Front = most recently used.
-  std::list<Entry> lru_;
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  LruMap<std::shared_ptr<const PreparedInstance>> entries_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

@@ -311,49 +311,6 @@ TEST(SolverEquivalenceTest, NompSweepMatchesPerBudgetCallsBitwise) {
   }
 }
 
-TEST(SolverEquivalenceTest, NnlsGramBatchMatchesSequentialSolvesBitwise) {
-  Workload workload = SmallWorkload();
-  const InstanceVectors& vectors = workload.vectors().front();
-  DesignSystem base = BuildCompareSetsSystem(vectors, 0, 1.0);
-
-  // Several right-hand sides against one Gram: the real targets of a
-  // few items (re-projected through base's matrix), plus an exact
-  // duplicate that must be served by the batch's memo path.
-  std::vector<Vector> vtys;
-  std::vector<double> norms;
-  vtys.push_back(base.gram.vty);
-  norms.push_back(base.gram.target_norm2);
-  for (double shift : {0.5, -0.25, 2.0}) {
-    Vector vty = base.gram.vty;
-    for (size_t j = 0; j < vty.size(); ++j) {
-      vty[j] += shift * static_cast<double>(j + 1) / 7.0;
-    }
-    vtys.push_back(std::move(vty));
-    norms.push_back(base.gram.target_norm2 + shift * shift);
-  }
-  vtys.push_back(vtys[1]);  // Bit-exact duplicate of problem 1.
-  norms.push_back(norms[1]);
-
-  std::vector<NnlsGramProblem> problems;
-  for (size_t k = 0; k < vtys.size(); ++k) {
-    problems.push_back({&vtys[k], norms[k]});
-  }
-  auto batch = SolveNnlsGramBatch(base.gram.gram, problems);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch.value().size(), problems.size());
-  for (size_t k = 0; k < problems.size(); ++k) {
-    auto solo = SolveNnlsGram(base.gram.gram, vtys[k], norms[k]);
-    ASSERT_TRUE(solo.ok()) << "problem " << k;
-    EXPECT_EQ(batch.value()[k].x, solo.value().x) << "problem " << k;
-    EXPECT_EQ(batch.value()[k].residual_norm, solo.value().residual_norm)
-        << "problem " << k;
-    EXPECT_EQ(batch.value()[k].iterations, solo.value().iterations)
-        << "problem " << k;
-    EXPECT_EQ(batch.value()[k].converged, solo.value().converged)
-        << "problem " << k;
-  }
-}
-
 TEST(SolverEquivalenceTest, PlusAssemblyKeepsGramAcrossSweepTargets) {
   // Across CompaReSetS+ sync rounds only the φ target blocks evolve: the
   // assembled groups, G and column norms must be bitwise the same for

@@ -151,5 +151,97 @@ TEST(CorpusTest, WorkingExampleFixtureWellFormed) {
   EXPECT_EQ(instances[0].num_items(), 3u);
 }
 
+/// Every field of every product, for bit-for-bit comparisons.
+std::string Fingerprint(const Corpus& corpus) {
+  std::string out;
+  for (const Product& product : corpus.products()) {
+    out += product.id + "|" + product.title + "|";
+    for (const std::string& id : product.also_bought) out += id + ",";
+    for (const Review& review : product.reviews) {
+      out += review.id + "/" + review.reviewer_id + "/" + review.text + "/" +
+             std::to_string(review.rating) + "/";
+      for (const OpinionMention& mention : review.opinions) {
+        out += std::to_string(mention.aspect) + ":" +
+               PolarityName(mention.polarity) + ":" +
+               std::to_string(mention.strength) + ";";
+      }
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+Corpus ThreeProducts() {
+  Corpus corpus("test");
+  corpus.AddProduct(TinyProduct("a", 3, {"b", "c"})).CheckOK();
+  corpus.AddProduct(TinyProduct("b", 2)).CheckOK();
+  corpus.AddProduct(TinyProduct("c", 2)).CheckOK();
+  corpus.Finalize();
+  return corpus;
+}
+
+// Copies share their products until one side mutates: the mutated copy
+// gets its own product, and the original stays bit-identical.
+TEST(CorpusTest, MutatedCopyLeavesTheOriginalBitIdentical) {
+  Corpus original = ThreeProducts();
+  const std::string before = Fingerprint(original);
+  const Product* shared_b = original.Find("b");
+
+  Corpus copy = original;
+  EXPECT_EQ(copy.Find("b"), shared_b);  // Shared, not copied.
+  Product* edited = copy.MutableProduct(copy.IndexOf("b"));
+  edited->reviews.push_back(MakeReview("b-extra", {{0, kPos}}));
+  edited->title = "edited";
+  copy.MutableProduct(copy.IndexOf("a"))->reviews.clear();
+
+  EXPECT_EQ(Fingerprint(original), before);
+  EXPECT_EQ(original.Find("b"), shared_b);
+  EXPECT_NE(copy.Find("b"), shared_b);
+  EXPECT_EQ(copy.Find("b")->reviews.size(), 3u);
+  EXPECT_EQ(copy.Find("c"), original.Find("c"));  // Untouched: still shared.
+
+  // And the other way round: editing the original leaves the copy alone.
+  const std::string copied = Fingerprint(copy);
+  original.MutableProduct(original.IndexOf("c"))->reviews.pop_back();
+  EXPECT_EQ(Fingerprint(copy), copied);
+  EXPECT_EQ(original.Find("c")->reviews.size(), 1u);
+}
+
+// An unshared corpus edits in place: Find() pointers (and the instances
+// built from them) stay valid across MutableProduct. Once a copy is
+// gone the corpus is unshared again.
+TEST(CorpusTest, FindPointersSurviveMutableProductOnUnsharedCorpus) {
+  Corpus corpus = ThreeProducts();
+  const Product* a = corpus.Find("a");
+  auto instances = corpus.BuildInstances();
+  ASSERT_EQ(instances.size(), 1u);
+
+  Product* edited = corpus.MutableProduct(corpus.IndexOf("a"));
+  EXPECT_EQ(edited, a);
+  edited->reviews.push_back(MakeReview("a-extra", {{0, kNeg}}));
+  EXPECT_EQ(corpus.Find("a"), a);
+  EXPECT_EQ(instances[0].items[0], a);
+  EXPECT_EQ(a->reviews.size(), 4u);
+
+  { Corpus copy = corpus; }
+  EXPECT_EQ(corpus.MutableProduct(corpus.IndexOf("a")), a);
+}
+
+TEST(CorpusTest, SubsetSharesTheChosenProductsInOrder) {
+  Corpus corpus = ThreeProducts();
+  corpus.catalog().Intern("battery");
+  Corpus subset = Corpus::Subset(corpus, {0, 2});
+  EXPECT_TRUE(subset.finalized());
+  EXPECT_EQ(subset.name(), "test");
+  EXPECT_EQ(subset.num_aspects(), 1u);
+  ASSERT_EQ(subset.num_products(), 2u);
+  EXPECT_EQ(&subset.products()[0], corpus.Find("a"));
+  EXPECT_EQ(&subset.products()[1], corpus.Find("c"));
+  EXPECT_EQ(subset.IndexOf("c"), 1u);
+  EXPECT_EQ(subset.IndexOf("b"), Corpus::npos);
+  EXPECT_EQ(subset.FindShared("c").get(), corpus.Find("c"));
+  EXPECT_EQ(subset.FindShared("b"), nullptr);
+}
+
 }  // namespace
 }  // namespace comparesets

@@ -207,6 +207,12 @@ TEST(SelectionEngineTest, ResultMemoEvictsAtCapacity) {
   EXPECT_FALSE(again.value().result_cache_hit);
   EXPECT_TRUE(again.value().cache_hit);  // Vectors survived in their cache.
   EXPECT_TRUE(engine.Select(first).value().result_cache_hit);
+  // Both evictions are counted: `second` evicted `first`, and the
+  // re-solve of `first` evicted `second`.
+  std::string dump = engine.DumpMetrics();
+  EXPECT_NE(dump.find("counter engine.result_evictions 2\n"),
+            std::string::npos)
+      << dump;
 }
 
 TEST(SelectionEngineTest, BatchMatchesSequentialSelects) {
@@ -256,6 +262,15 @@ TEST(SelectionEngineTest, SwapCorpusInvalidatesCacheAndServesNewCatalog) {
   ASSERT_TRUE(engine.Publish(new_corpus, 0).ok());
   EXPECT_EQ(engine.corpus(), new_corpus);
   EXPECT_EQ(engine.CacheStats().entries, 0u);
+  // Freshly generated products share nothing with the old snapshot, so
+  // the vector entry and the memo entry are both dropped.
+  std::string dump = engine.DumpMetrics();
+  EXPECT_NE(dump.find("counter engine.publish_carried 0\n"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("counter engine.publish_dropped 2\n"),
+            std::string::npos)
+      << dump;
 
   auto response = engine.Select(request);
   ASSERT_TRUE(response.ok()) << response.status();
@@ -763,6 +778,81 @@ TEST(SelectionEngineTest, FaultInjectedSwapKeepsServingOldSnapshot) {
 
   ASSERT_TRUE(engine.Publish(new_corpus, 0).ok());  // fail_first spent.
   EXPECT_EQ(engine.corpus(), new_corpus);
+}
+
+// A request that resolved against the old snapshot and stores its
+// answer after Publish moved on stores it under the old epoch's key: the
+// answer is never served for an instance the publication changed, while
+// an instance the publication left alone stays warm.
+TEST(SelectionEngineTest, StoreRacingPublishNeverServesAChangedInstance) {
+  auto config = DefaultConfig("Cellphone", 60);
+  config.status().CheckOK();
+  Corpus base = GenerateCorpus(config.value()).ValueOrDie();
+  base.Finalize();
+  auto old_snapshot = IndexedCorpus::Build(base).ValueOrDie();
+  SelectRequest changed = RequestFor(*old_snapshot, 0);
+
+  // The new catalog: one more review on the changed request's target, a
+  // fresh Product object; every other product is shared.
+  Corpus grown = base;
+  Product* target = grown.MutableProduct(grown.IndexOf(changed.target_id));
+  Review extra = target->reviews[0];
+  extra.id += "-again";
+  target->reviews.push_back(extra);
+  auto new_snapshot = IndexedCorpus::Build(std::move(grown)).ValueOrDie();
+  ASSERT_NE(new_snapshot->FindProduct(changed.target_id),
+            old_snapshot->FindProduct(changed.target_id));
+
+  // An instance that does not hold the changed product.
+  SelectRequest kept;
+  for (const ProblemInstance& instance : old_snapshot->instances()) {
+    if (std::none_of(instance.items.begin(), instance.items.end(),
+                     [&](const Product* item) {
+                       return item->id == changed.target_id;
+                     })) {
+      kept.target_id = instance.target().id;
+      kept.selector = "CompaReSetS";
+      break;
+    }
+  }
+  ASSERT_FALSE(kept.target_id.empty());
+
+  // Every solve sleeps first, holding a request between its prepare on
+  // the old snapshot and its memo store.
+  FaultPlan plan;
+  plan.solve.delay_rate = 1.0;
+  plan.solve.delay_seconds = 0.2;
+  EngineOptions options;
+  options.fault_injector = std::make_shared<FaultInjector>(plan);
+  SelectionEngine engine(old_snapshot, options);
+  ASSERT_TRUE(engine.Select(kept).ok());
+
+  std::thread in_flight([&] {
+    auto answer = engine.Select(changed);
+    EXPECT_TRUE(answer.ok()) << answer.status();
+    if (answer.ok()) {
+      EXPECT_EQ(answer.value().trace.corpus_epoch, 0u);
+    }
+  });
+  // Publish once the request has started preparing on the old snapshot.
+  while (engine.CacheStats().misses < 2) std::this_thread::yield();
+  ASSERT_TRUE(engine.Publish(new_snapshot, 1).ok());
+  in_flight.join();
+
+  auto fresh = engine.Select(changed);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_FALSE(fresh.value().result_cache_hit);
+  EXPECT_FALSE(fresh.value().cache_hit);
+  EXPECT_EQ(fresh.value().trace.corpus_epoch, 1u);
+  auto reference = SelectionEngine(new_snapshot).Select(changed);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_EQ(fresh.value().selections, reference.value().selections);
+  EXPECT_EQ(fresh.value().objective, reference.value().objective);
+
+  auto warm = engine.Select(kept);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_TRUE(warm.value().result_cache_hit);
+  EXPECT_EQ(warm.value().trace.corpus_epoch, 1u);
 }
 
 TEST(SelectionEngineTest, TracesRecordTheRequestLifecycle) {

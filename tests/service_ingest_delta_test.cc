@@ -11,12 +11,14 @@
 //
 // The suite also pins the serving-side contract: a delta batch bumps
 // only the touched shards' epochs, so untouched shards keep their
-// result memos and vector caches warm across an apply — the same
-// isolation guarantee PR'd for per-shard swaps.
+// result memos and vector caches warm across an apply, and inside a
+// touched shard every instance none of whose products changed keeps
+// its entries too (per-instance carry-over).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -176,12 +178,31 @@ TEST_P(DeltaOracleTest, DeltaAppliesMatchFullRebuildBitForBit) {
   }
   ASSERT_GT(dropped, 0u);  // the stream must exercise the drop path
 
-  // Delta side applies the identical stream in 4 uneven batches.
+  // Carry-over on: before every batch the delta router answers every
+  // target it serves, so each publication has warm entries to carry or
+  // drop, and the final comparison reads carried answers wherever an
+  // instance did not change.
+  auto warm_every_target = [&] {
+    for (size_t s = 0; s < num_shards; ++s) {
+      auto snapshot = delta_router.value()->shard_engine(s).corpus();
+      for (const ProblemInstance& instance : snapshot->instances()) {
+        SelectRequest request;
+        request.target_id = instance.target().id;
+        request.selector = "CompaReSetSGreedy";
+        ASSERT_TRUE(delta_router.value()->Select(request).ok());
+      }
+    }
+  };
+
+  // Delta side applies the identical stream in 4 uneven batches. The
+  // last one is a single record, which leaves most instances unchanged,
+  // so the final comparison reads many carried entries.
   size_t applied_total = 0, dropped_total = 0;
   std::vector<bool> ever_touched(num_shards, false);
-  const size_t batch_sizes[] = {7, 20, 1, 32};
+  const size_t batch_sizes[] = {7, 20, 32, 1};
   size_t cursor = 0;
   for (size_t batch_size : batch_sizes) {
+    warm_every_target();
     std::vector<WalRecord> batch(
         stream.begin() + cursor,
         stream.begin() + std::min(cursor + batch_size, stream.size()));
@@ -227,15 +248,21 @@ TEST_P(DeltaOracleTest, DeltaAppliesMatchFullRebuildBitForBit) {
   }
 
   // Response payload identity for EVERY final instance target —
-  // including any instance the streamed reviews created.
+  // including any instance the streamed reviews created. Some of the
+  // delta side's answers are entries carried across publications.
+  size_t carried_hits = 0;
   for (const ProblemInstance& instance : final_full.value()->instances()) {
     SelectRequest request;
     request.target_id = instance.target().id;
     request.selector = "CompaReSetSGreedy";
-    ExpectSameResponse(delta_router.value()->Select(request),
-                       rebuild_router.value()->Select(request),
+    Result<SelectResponse> delta_answer = delta_router.value()->Select(request);
+    if (delta_answer.ok() && delta_answer.value().result_cache_hit) {
+      ++carried_hits;
+    }
+    ExpectSameResponse(delta_answer, rebuild_router.value()->Select(request),
                        "target " + request.target_id);
   }
+  EXPECT_GT(carried_hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, DeltaOracleTest,
@@ -326,12 +353,14 @@ TEST(DeltaEligibilityTest, StreamedReviewsCreateNewInstancesIdentically) {
   }
 }
 
-// Two also-bought clusters with no cross-links: partitioned into two
-// shards, each shard's closure is exactly its own cluster, so a record
-// landing in cluster A provably cannot touch cluster B's shard. (The
-// synthetic generator's graph is too dense for this — every product
-// lands in every shard's closure there.)
-Corpus TwoClusterCorpus() {
+// Four also-bought clusters (a, b, c, d) with no cross-links:
+// partitioned into two shards, shard 0 holds clusters a and b and
+// shard 1 clusters c and d, and each shard's closure is exactly its own
+// clusters. A record landing in cluster a provably cannot touch shard 1,
+// nor any instance of cluster b. (The synthetic generator's graph is
+// too dense for this — every product lands in every shard's closure
+// there.)
+Corpus ClusterCorpus() {
   Corpus base("clusters");
   AspectId battery = base.catalog().Intern("battery");
   AspectId screen = base.catalog().Intern("screen");
@@ -353,12 +382,14 @@ Corpus TwoClusterCorpus() {
     }
     base.AddProduct(std::move(product)).CheckOK();
   };
-  add("a1", {"a2", "a3"});
-  add("a2", {"a1", "a3"});
-  add("a3", {"a1", "a2"});
-  add("b1", {"b2", "b3"});
-  add("b2", {"b1", "b3"});
-  add("b3", {"b1", "b2"});
+  for (const char* cluster : {"a", "b", "c", "d"}) {
+    const std::string id[] = {std::string(cluster) + "1",
+                              std::string(cluster) + "2",
+                              std::string(cluster) + "3"};
+    add(id[0], {id[1], id[2]});
+    add(id[1], {id[0], id[2]});
+    add(id[2], {id[0], id[1]});
+  }
   base.Finalize();
   return base;
 }
@@ -366,7 +397,7 @@ Corpus TwoClusterCorpus() {
 // PR-5-style isolation assertion: a delta that only lands on shard A
 // leaves shard B's epoch, result memo, and vector cache warm.
 TEST(DeltaWarmCacheTest, UntouchedShardKeepsItsCachesAcrossADeltaApply) {
-  Corpus base = TwoClusterCorpus();
+  Corpus base = ClusterCorpus();
   auto initial = IndexedCorpus::Build(base);
   initial.status().CheckOK();
   auto router =
@@ -441,6 +472,99 @@ TEST(DeltaWarmCacheTest, UntouchedShardKeepsItsCachesAcrossADeltaApply) {
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_EQ(after.value().trace.corpus_epoch, epoch0_before + 1);
   EXPECT_EQ(after.value().trace.ingest_records, 2u);
+}
+
+// Per-instance carry-over inside a touched shard: a review on a1
+// republishes shard 0, whose cluster-b instances hold none of the
+// changed products. Their memo entries and prepared vectors move to the
+// new epoch; cluster a's instances, which all hold a1, go cold.
+TEST(DeltaWarmCacheTest, UntouchedInstanceInTouchedShardStaysWarm) {
+  Corpus base = ClusterCorpus();
+  auto initial = IndexedCorpus::Build(base);
+  initial.status().CheckOK();
+  auto router =
+      ShardRouter::Create(initial.value(), 2, SerialRouterOptions());
+  router.status().CheckOK();
+  auto builder = DeltaCorpusBuilder::Create(base, router.value()->bounds(), {});
+  builder.status().CheckOK();
+  ASSERT_EQ(router.value()->ShardForTarget("a1"), 0u);
+  ASSERT_EQ(router.value()->ShardForTarget("b1"), 0u);
+
+  auto request = [](const std::string& target, size_t m) {
+    SelectRequest r;
+    r.target_id = target;
+    r.selector = "CompaReSetSGreedy";
+    r.options.m = m;
+    return r;
+  };
+  for (const char* target : {"a1", "a2", "b1", "b2"}) {
+    auto cold = router.value()->Select(request(target, 1));
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    EXPECT_FALSE(cold.value().cache_hit) << target;
+  }
+
+  auto delta = builder.value()->ApplyBatch({StreamRecord("a1", 0, base.catalog())});
+  delta.status().CheckOK();
+  ASSERT_EQ(delta.value().shards.size(), 1u);
+  EXPECT_EQ(delta.value().shards[0].shard_id, 0u);
+  // The shard's new snapshot shares every product but a1 with the old.
+  std::shared_ptr<const IndexedCorpus> before =
+      router.value()->shard_engine(0).corpus();
+  const IndexedCorpus& after = *delta.value().shards[0].snapshot;
+  EXPECT_NE(after.FindProduct("a1"), before->FindProduct("a1"));
+  EXPECT_EQ(after.FindProduct("a2"), before->FindProduct("a2"));
+  EXPECT_EQ(after.FindProduct("b1"), before->FindProduct("b1"));
+  // The streamed opinion names an aspect the catalog lacked, and an
+  // aspect-count change drops everything; this test is about instances.
+  ASSERT_EQ(after.num_aspects(), before->num_aspects() + 1);
+  router.value()
+      ->ApplyShardDelta(0, delta.value().shards[0].snapshot, 1)
+      .CheckOK();
+  for (const char* target : {"a1", "b1"}) {
+    auto rewarmed = router.value()->Select(request(target, 1));
+    ASSERT_TRUE(rewarmed.ok()) << rewarmed.status();
+    EXPECT_FALSE(rewarmed.value().result_cache_hit) << target;
+  }
+
+  // Same catalog size from here on: a second review on a1 changes only
+  // cluster a's instances.
+  WalRecord known = StreamRecord("a1", 1, base.catalog());
+  known.opinions.pop_back();  // Only catalog-known aspects.
+  delta = builder.value()->ApplyBatch({known});
+  delta.status().CheckOK();
+  ASSERT_EQ(delta.value().shards.size(), 1u);
+  uint64_t epoch = router.value()->shard_engine(0).corpus_epoch();
+  router.value()
+      ->ApplyShardDelta(0, std::move(delta.value().shards[0].snapshot), 1)
+      .CheckOK();
+  EXPECT_EQ(router.value()->shard_engine(0).corpus_epoch(), epoch + 1);
+
+  // b1 was answered at the previous epoch: its memo entry carried.
+  auto b1 = router.value()->Select(request("b1", 1));
+  ASSERT_TRUE(b1.ok()) << b1.status();
+  EXPECT_TRUE(b1.value().result_cache_hit);
+  EXPECT_EQ(b1.value().trace.corpus_epoch, epoch + 1);
+  // b1 under another m misses the memo but finds its carried vectors.
+  auto b1_other = router.value()->Select(request("b1", 2));
+  ASSERT_TRUE(b1_other.ok()) << b1_other.status();
+  EXPECT_FALSE(b1_other.value().result_cache_hit);
+  EXPECT_TRUE(b1_other.value().cache_hit);
+  // a1's instance holds the reviewed product: cold.
+  auto a1 = router.value()->Select(request("a1", 1));
+  ASSERT_TRUE(a1.ok()) << a1.status();
+  EXPECT_FALSE(a1.value().result_cache_hit);
+  EXPECT_FALSE(a1.value().cache_hit);
+
+  // The publications counted what they kept and dropped: the first
+  // dropped all 4 warmed instances' vector and memo entries, the second
+  // kept b1's two and dropped a1's two.
+  std::string dump = router.value()->DumpMetrics();
+  EXPECT_NE(dump.find("counter engine.publish_carried 2\n"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("counter engine.publish_dropped 10\n"),
+            std::string::npos)
+      << dump;
 }
 
 // A batch with nothing applicable publishes nothing: no shard deltas,
@@ -540,6 +664,56 @@ TEST(IngestDriverTest, DrainsTheWalIntoServedSnapshots) {
   IngestDrainStats totals = driver.value()->TotalStats();
   EXPECT_EQ(totals.records_applied, 9u);
   EXPECT_EQ(totals.records_dropped, 1u);
+  std::remove(path.c_str());
+}
+
+// A corrupt frame in the middle of the log stops every drain at the
+// same offset (replay keeps only the committed prefix before it), and
+// nothing after it ever applies. The stall is visible: the router
+// registry's ingest.wal_pending_bytes gauge stays above 0 while the
+// offset does not move.
+TEST(IngestDriverTest, CorruptMidLogFrameShowsAsPendingBytes) {
+  Corpus base = MakeSynthetic(60);
+  base.Finalize();
+  auto initial = IndexedCorpus::Build(base);
+  initial.status().CheckOK();
+  auto router = ShardRouter::Create(initial.value(), 2, SerialRouterOptions());
+  router.status().CheckOK();
+
+  std::vector<WalRecord> stream = OracleStream(base, 3);
+  std::string log;
+  std::vector<size_t> frame_ends;
+  for (const WalRecord& record : stream) {
+    AppendWalFrame(record, &log);
+    frame_ends.push_back(log.size());
+  }
+  log[frame_ends[0] + 8] ^= 0x5a;  // First payload byte of frame 2.
+  std::string path = ::testing::TempDir() + "/ingest_corrupt_test.wal";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(log.data(), static_cast<std::streamsize>(log.size()));
+  }
+
+  IngestDriverOptions options;
+  options.wal_path = path;
+  auto driver = IngestDriver::Create(base, router.value().get(), options);
+  driver.status().CheckOK();
+  const std::string pending = "gauge ingest.wal_pending_bytes " +
+                              std::to_string(log.size() - frame_ends[0]) +
+                              "\n";
+  for (int drain = 0; drain < 2; ++drain) {
+    auto drained = driver.value()->DrainOnce();
+    ASSERT_TRUE(drained.ok()) << drained.status();
+    EXPECT_EQ(drained.value().records_applied, drain == 0 ? 1u : 0u);
+    EXPECT_EQ(driver.value()->offset(), frame_ends[0]);
+    std::string dump = router.value()->DumpMetrics();
+    EXPECT_NE(dump.find(pending), std::string::npos) << dump;
+  }
+  std::string exposition = router.value()->RenderPrometheus();
+  EXPECT_NE(exposition.find("ingest_wal_pending_bytes"), std::string::npos)
+      << exposition;
+  EXPECT_NE(exposition.find("ingest_records_dropped"), std::string::npos)
+      << exposition;
   std::remove(path.c_str());
 }
 

@@ -189,7 +189,10 @@ TEST(ShardRouterTest, DeadlineExpiringMidGatherCancelsRemainingShardWork) {
 
 // The tentpole's cache-locality claim: swapping ONE shard bumps only
 // that shard's epoch, and the other shards' memo/vector caches keep
-// serving warm hits afterwards.
+// serving warm hits afterwards. Inside the swapped shard the
+// per-instance rule holds: re-publishing the same catalog (whose
+// products the new snapshot shares) keeps its entries warm under the
+// new epoch, while a freshly generated catalog carries nothing.
 TEST(ShardRouterTest, PerShardSwapKeepsOtherShardsWarm) {
   auto full = MakeCorpus(60);
   auto router = MakeRouter(full, 2);
@@ -209,10 +212,20 @@ TEST(ShardRouterTest, PerShardSwapKeepsOtherShardsWarm) {
   EXPECT_EQ(statuses[1].corpus_epoch, 0u);
   EXPECT_EQ(statuses[0].state, ShardState::kServing);
 
-  // Shard 0's caches are keyed on its new epoch: a repeat re-solves.
+  // Same catalog, same Product objects: shard 0's entry moved to the
+  // new epoch, so the repeat is a memo hit there.
+  auto carried = router->Select(RequestFor(targets[0]));
+  ASSERT_TRUE(carried.ok()) << carried.status();
+  EXPECT_TRUE(carried.value().result_cache_hit);
+  EXPECT_EQ(carried.value().trace.corpus_epoch, 1u);
+
+  // Same ids, freshly generated products: nothing carries, the repeat
+  // re-solves against the new catalog.
+  ASSERT_TRUE(router->SwapShardCorpus(0, MakeCorpus(60, /*seed=*/7)).ok());
   auto resolved = router->Select(RequestFor(targets[0]));
   ASSERT_TRUE(resolved.ok()) << resolved.status();
   EXPECT_FALSE(resolved.value().result_cache_hit);
+  EXPECT_FALSE(resolved.value().cache_hit);
 
   // Shard 1 never moved: its memo still answers whole.
   auto warm = router->Select(RequestFor(targets[1]));

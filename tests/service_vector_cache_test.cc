@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "service/indexed_corpus.h"
 
 namespace comparesets {
 namespace {
@@ -23,7 +24,11 @@ class VectorCacheTest : public ::testing::Test {
   /// A prepared bundle for the i-th enumerated instance.
   std::shared_ptr<const PreparedInstance> Bundle(size_t i) {
     OpinionModel model = OpinionModel::Binary(corpus_->num_aspects());
-    return PreparedInstance::Create(corpus_, corpus_->instances()[i], model);
+    std::vector<std::shared_ptr<const Product>> products;
+    for (const Product* item : corpus_->instances()[i].items) {
+      products.push_back(corpus_->corpus().FindShared(item->id));
+    }
+    return PreparedInstance::Create(std::move(products), model);
   }
 
   std::shared_ptr<const IndexedCorpus> corpus_;
@@ -32,6 +37,10 @@ class VectorCacheTest : public ::testing::Test {
 TEST_F(VectorCacheTest, PreparedInstanceWiresVectorsToOwnedInstance) {
   auto bundle = Bundle(0);
   EXPECT_EQ(bundle->vectors.instance, &bundle->instance);
+  // The instance reads the snapshot's own (shared) products.
+  EXPECT_EQ(bundle->instance.items, corpus_->instances()[0].items);
+  ASSERT_EQ(bundle->products.size(), bundle->instance.num_items());
+  EXPECT_EQ(bundle->products[0].get(), bundle->instance.items[0]);
   EXPECT_EQ(bundle->vectors.num_items(), bundle->instance.num_items());
   EXPECT_GT(bundle->vectors.ApproxMemoryBytes(), 0u);
 }
@@ -86,22 +95,28 @@ TEST_F(VectorCacheTest, CapacityIsAtLeastOne) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST_F(VectorCacheTest, ClearDropsAllEntriesAndKeepsCounters) {
+TEST_F(VectorCacheTest, RekeyMovesKeptEntriesDropsTheRestKeepsCounters) {
   VectorCache cache(4);
-  cache.Put("a", Bundle(0));
-  cache.Put("b", Bundle(1));
-  EXPECT_NE(cache.Get("a"), nullptr);
+  auto kept = Bundle(0);
+  cache.Put("1|a", kept);
+  cache.Put("1|b", Bundle(1));
+  cache.Put("0|c", Bundle(2));
+  EXPECT_NE(cache.Get("1|a"), nullptr);
 
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  // No stale entry survives the swap: both lookups miss now.
-  EXPECT_EQ(cache.Get("a"), nullptr);
-  EXPECT_EQ(cache.Get("b"), nullptr);
+  RekeyCounts counts = cache.Rekey([](const std::string& key) {
+    return key == "1|a" ? std::string("2|a") : std::string();
+  });
+  EXPECT_EQ(counts.kept, 1u);
+  EXPECT_EQ(counts.dropped, 2u);
+  EXPECT_EQ(cache.size(), 1u);
+  // The kept entry answers under its new key only.
+  EXPECT_EQ(cache.Get("1|a"), nullptr);
+  EXPECT_EQ(cache.Get("2|a"), kept);
+  EXPECT_EQ(cache.Get("1|b"), nullptr);
   VectorCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.approx_bytes, 0u);
+  EXPECT_EQ(stats.entries, 1u);
 }
 
 TEST_F(VectorCacheTest, EvictedEntryStaysAliveForHolders) {
