@@ -6,7 +6,8 @@
 // mode that times the dense reference solvers (the test-side oracle in
 // tests/oracle/, linked into this bench only) against the sparse
 // Gram/Cholesky core on a Figure-7-style workload and writes the
-// measured ratios as JSON:
+// measured ratios as JSON, each timing the median of five repeats with
+// its interquartile range beside it (`<key>_iqr`):
 //
 //   micro_solvers --kernels_only [--kernels_out=results/solver_kernels.json]
 //                 [--kernel=scalar|avx2|auto]
@@ -33,6 +34,7 @@
 #include <benchmark/benchmark.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -167,7 +169,7 @@ BENCHMARK(BM_GramBuild);
 void BM_ItemBlocks(benchmark::State& state) {
   const InstanceVectors& vectors = BenchWorkload().vectors()[0];
   for (auto _ : state) {
-    ItemBlocks blocks = BuildItemBlocks(vectors, 0);
+    ItemBlocks blocks = BuildItemBlocks(*vectors.items[0]);
     benchmark::DoNotOptimize(blocks);
   }
 }
@@ -175,10 +177,11 @@ BENCHMARK(BM_ItemBlocks);
 
 void BM_DesignAssembly(benchmark::State& state) {
   const InstanceVectors& vectors = BenchWorkload().vectors()[0];
-  ItemBlocks blocks = BuildItemBlocks(vectors, 0);
+  ItemBlocks blocks = BuildItemBlocks(*vectors.items[0]);
   DesignWeights weights = DesignWeights::CompareSets(1.0);
   for (auto _ : state) {
-    DesignSystem system = AssembleDesignSystem(blocks, weights);
+    DesignSystem system = AssembleDesignSystem(
+        blocks, vectors.AspectDots(0), vectors.gamma_norm2, weights);
     benchmark::DoNotOptimize(system);
   }
 }
@@ -321,12 +324,52 @@ double TimePerCall(const Fn& fn) {
   return timer.ElapsedSeconds() / reps;
 }
 
+/// Repeats per kernel-comparison row. Single ~0.3 s timings of one row
+/// swung 1.3x-2x between runs on a shared 4-core machine, so each row
+/// reports the median and interquartile range of several.
+constexpr int kTimingRepeats = 5;
+
+/// Median and interquartile range of kTimingRepeats TimePerCall runs.
+struct RepeatedTiming {
+  double median = 0.0;
+  double iqr = 0.0;
+
+  RepeatedTiming Scaled(double factor) const {
+    return {median * factor, iqr * factor};
+  }
+};
+
+template <typename Fn>
+RepeatedTiming TimeRepeated(const Fn& fn) {
+  std::vector<double> seconds;
+  for (int repeat = 0; repeat < kTimingRepeats; ++repeat) {
+    seconds.push_back(TimePerCall(fn));
+  }
+  std::sort(seconds.begin(), seconds.end());
+  // Quartiles at ranks (n − 1)/4 and 3(n − 1)/4, interpolated.
+  auto quantile = [&](double q) {
+    double rank = q * static_cast<double>(seconds.size() - 1);
+    size_t low = static_cast<size_t>(rank);
+    size_t high = std::min(low + 1, seconds.size() - 1);
+    double frac = rank - static_cast<double>(low);
+    return seconds[low] + frac * (seconds[high] - seconds[low]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
+/// Adds a row's median under `key` and its IQR under `key` + "_iqr".
+void PutTiming(JsonValue::Object* object, const std::string& key,
+               const RepeatedTiming& timing) {
+  (*object)[key] = timing.median;
+  (*object)[key + "_iqr"] = timing.iqr;
+}
+
 struct KernelTiming {
   std::string name;
-  double dense_seconds = 0.0;
-  double gram_seconds = 0.0;
+  RepeatedTiming dense = {};
+  RepeatedTiming gram = {};
   double speedup() const {
-    return gram_seconds > 0.0 ? dense_seconds / gram_seconds : 0.0;
+    return gram.median > 0.0 ? dense.median / gram.median : 0.0;
   }
 };
 
@@ -381,7 +424,7 @@ int RunAssemblyComparison(JsonValue::Array* rows) {
       }
       other_phis[i].push_back(vectors.AspectOf(j, prefix));
     }
-    blocks.push_back(BuildItemBlocks(vectors, i));
+    blocks.push_back(BuildItemBlocks(*vectors.items[i]));
     groups += blocks.back().pair_groups();
   }
 
@@ -390,7 +433,8 @@ int RunAssemblyComparison(JsonValue::Array* rows) {
     oracle::MaterializedSystem reference = oracle::BuildCompareSetsPlusSystem(
         vectors, i, lambda, mu, other_phis[i]);
     DesignSystem assembled = AssembleDesignSystem(
-        blocks[i], DesignWeights::CompareSetsPlus(lambda, mu, other_phis[i]));
+        blocks[i], vectors.AspectDots(i), vectors.gamma_norm2,
+        DesignWeights::CompareSetsPlus(lambda, mu, other_phis[i]));
     if (assembled.group_reviews != reference.group_reviews ||
         assembled.dup_counts != reference.dup_counts) {
       std::fprintf(stderr, "item %zu: assembled groups differ from the "
@@ -413,11 +457,11 @@ int RunAssemblyComparison(JsonValue::Array* rows) {
   }
 
   auto per_item = [&](const std::function<void()>& fn) {
-    return TimePerCall(fn) / static_cast<double>(n);
+    return TimeRepeated(fn).Scaled(1.0 / static_cast<double>(n));
   };
   struct Row {
     const char* name;
-    double seconds;
+    RepeatedTiming seconds;
   };
   std::vector<Row> timings = {
       {"materialized", per_item([&] {
@@ -430,7 +474,8 @@ int RunAssemblyComparison(JsonValue::Array* rows) {
       {"blocks_and_assembly", per_item([&] {
          for (size_t i = 0; i < n; ++i) {
            DesignSystem system = AssembleDesignSystem(
-               BuildItemBlocks(vectors, i),
+               BuildItemBlocks(*vectors.items[i]), vectors.AspectDots(i),
+               vectors.gamma_norm2,
                DesignWeights::CompareSetsPlus(lambda, mu, other_phis[i]));
            benchmark::DoNotOptimize(system);
          }
@@ -438,7 +483,7 @@ int RunAssemblyComparison(JsonValue::Array* rows) {
       {"assembly_only", per_item([&] {
          for (size_t i = 0; i < n; ++i) {
            DesignSystem system = AssembleDesignSystem(
-               blocks[i],
+               blocks[i], vectors.AspectDots(i), vectors.gamma_norm2,
                DesignWeights::CompareSetsPlus(lambda, mu, other_phis[i]));
            benchmark::DoNotOptimize(system);
          }
@@ -448,16 +493,17 @@ int RunAssemblyComparison(JsonValue::Array* rows) {
               "average (lambda %.2g, mu %.2g)\n",
               n, static_cast<double>(groups) / static_cast<double>(n), lambda,
               mu);
-  std::printf("%-22s %14s %12s\n", "path", "us/item", "vs oracle");
+  std::printf("%-22s %14s %10s %12s\n", "path", "us/item", "iqr",
+              "vs oracle");
   for (const Row& row : timings) {
-    double speedup = timings[0].seconds / row.seconds;
-    std::printf("%-22s %14.2f %11.2fx\n", row.name, row.seconds * 1e6,
-                speedup);
+    double speedup = timings[0].seconds.median / row.seconds.median;
+    std::printf("%-22s %14.2f %10.2f %11.2fx\n", row.name,
+                row.seconds.median * 1e6, row.seconds.iqr * 1e6, speedup);
     JsonValue::Object object;
     object["name"] = std::string(row.name);
     object["items"] = static_cast<int64_t>(n);
     object["groups"] = static_cast<int64_t>(groups);
-    object["seconds_per_item"] = row.seconds;
+    PutTiming(&object, "seconds_per_item", row.seconds);
     object["speedup_vs_materialized"] = speedup;
     rows->push_back(JsonValue(std::move(object)));
   }
@@ -509,13 +555,13 @@ int RunKernelComparison(const std::string& out_path,
   // measured separately as gram_build below).
   KernelTiming nomp;
   nomp.name = "nomp_sweep";
-  nomp.dense_seconds = TimePerCall([&] {
+  nomp.dense = TimeRepeated([&] {
     for (size_t ell = 1; ell <= m; ++ell) {
       auto result = SolveNomp(dense_v, system.target, ell);
       benchmark::DoNotOptimize(result);
     }
   });
-  nomp.gram_seconds = TimePerCall([&] {
+  nomp.gram = TimeRepeated([&] {
     for (size_t ell = 1; ell <= m; ++ell) {
       auto result = SolveNompGram(system.gram, ell);
       benchmark::DoNotOptimize(result);
@@ -530,7 +576,7 @@ int RunKernelComparison(const std::string& out_path,
       SolveNompGram(system.gram, m).ValueOrDie().support;
   KernelTiming nnls;
   nnls.name = "nnls_refit";
-  nnls.dense_seconds = TimePerCall([&] {
+  nnls.dense = TimeRepeated([&] {
     Matrix sub(dense_v.rows(), support.size());
     for (size_t t = 0; t < support.size(); ++t) {
       for (size_t r = 0; r < dense_v.rows(); ++r) {
@@ -544,7 +590,7 @@ int RunKernelComparison(const std::string& out_path,
   for (size_t t = 0; t < support.size(); ++t) {
     vty_local[t] = system.gram.vty[support[t]];
   }
-  nnls.gram_seconds = TimePerCall([&] {
+  nnls.gram = TimeRepeated([&] {
     auto result =
         SolveNnlsGramSubset(system.gram.gram, support, vty_local.data(),
                             system.gram.target_norm2, {}, nullptr);
@@ -554,12 +600,12 @@ int RunKernelComparison(const std::string& out_path,
 
   KernelTiming multiply;
   multiply.name = "multiply_transpose";
-  multiply.dense_seconds = TimePerCall([&] {
+  multiply.dense = TimeRepeated([&] {
     Vector result = dense_v.MultiplyTranspose(system.target);
     benchmark::DoNotOptimize(result);
   });
   Vector scratch;
-  multiply.gram_seconds = TimePerCall([&] {
+  multiply.gram = TimeRepeated([&] {
     system.v.MultiplyTranspose(system.target, &scratch);
     benchmark::DoNotOptimize(scratch);
   });
@@ -569,7 +615,7 @@ int RunKernelComparison(const std::string& out_path,
   // scatter build.
   KernelTiming gram_build;
   gram_build.name = "gram_build";
-  gram_build.dense_seconds = TimePerCall([&] {
+  gram_build.dense = TimeRepeated([&] {
     size_t q = dense_v.cols();
     Matrix gram(q, q);
     for (size_t i = 0; i < q; ++i) {
@@ -579,17 +625,18 @@ int RunKernelComparison(const std::string& out_path,
     }
     benchmark::DoNotOptimize(gram);
   });
-  gram_build.gram_seconds = TimePerCall([&] {
+  gram_build.gram = TimeRepeated([&] {
     GramSystem gram = BuildGramSystem(system.v, system.target);
     benchmark::DoNotOptimize(gram);
   });
   kernels.push_back(gram_build);
 
-  std::printf("%-20s %14s %14s %10s\n", "kernel", "dense (us)", "gram (us)",
-              "speedup");
+  std::printf("%-20s %14s %10s %14s %10s %10s\n", "kernel", "dense (us)",
+              "iqr", "gram (us)", "iqr", "speedup");
   for (const KernelTiming& k : kernels) {
-    std::printf("%-20s %14.2f %14.2f %9.2fx\n", k.name.c_str(),
-                k.dense_seconds * 1e6, k.gram_seconds * 1e6, k.speedup());
+    std::printf("%-20s %14.2f %10.2f %14.2f %10.2f %9.2fx\n", k.name.c_str(),
+                k.dense.median * 1e6, k.dense.iqr * 1e6, k.gram.median * 1e6,
+                k.gram.iqr * 1e6, k.speedup());
   }
 
   // -------------------------------------------------------------------
@@ -674,55 +721,45 @@ int RunKernelComparison(const std::string& out_path,
   struct DispatchTiming {
     std::string name;
     std::string target;
-    double seconds = 0.0;  // Per problem, amortized over the batch.
+    RepeatedTiming seconds = {};  // Per problem, amortized over the batch.
   };
   std::vector<DispatchTiming> dispatch;
-  // Best-of-3: scheduler noise on shared machines dwarfs the per-target
-  // deltas at these durations; the minimum is the least-contended run.
-  auto min_time_per_call = [](const std::function<void()>& fn) {
-    double best_seconds = TimePerCall(fn);
-    for (int repeat = 1; repeat < 3; ++repeat) {
-      best_seconds = std::min(best_seconds, TimePerCall(fn));
-    }
-    return best_seconds;
-  };
+  const double per_problem = 1.0 / static_cast<double>(kBatch);
   for (const std::string& target : dispatch_targets) {
     SetKernelDispatch(target.c_str());
     DispatchTiming gram_row{"gram_build", target};
-    gram_row.seconds = min_time_per_call([&] {
+    gram_row.seconds = TimeRepeated([&] {
                          for (const Vector& t : batch_targets) {
                            GramSystem g = BuildGramSystem(system.v, t);
                            benchmark::DoNotOptimize(g);
                          }
-                       }) /
-                       static_cast<double>(kBatch);
+                       }).Scaled(per_problem);
     dispatch.push_back(gram_row);
     DispatchTiming nnls_row{"nnls_refit", target};
-    nnls_row.seconds = min_time_per_call([&] {
+    nnls_row.seconds = TimeRepeated([&] {
                          for (size_t k = 0; k < kBatch; ++k) {
                            auto result = SolveNnlsGram(
                                system.gram.gram, batch_vty[k], batch_norm2[k]);
                            benchmark::DoNotOptimize(result);
                          }
-                       }) /
-                       static_cast<double>(kBatch);
+                       }).Scaled(per_problem);
     dispatch.push_back(nnls_row);
   }
   if (kernel_flag == "auto") SetKernelDispatch("auto");
 
   auto scalar_seconds = [&](const std::string& name) {
     for (const DispatchTiming& d : dispatch) {
-      if (d.name == name && d.target == "scalar") return d.seconds;
+      if (d.name == name && d.target == "scalar") return d.seconds.median;
     }
     return 0.0;
   };
-  std::printf("\n%-14s %-10s %16s %12s   (batch of %zu)\n", "kernel",
-              "target", "us/problem", "vs scalar", kBatch);
+  std::printf("\n%-14s %-10s %16s %10s %12s   (batch of %zu)\n", "kernel",
+              "target", "us/problem", "iqr", "vs scalar", kBatch);
   for (const DispatchTiming& d : dispatch) {
     double base = scalar_seconds(d.name);
-    std::printf("%-14s %-10s %16.2f %11.2fx\n", d.name.c_str(),
-                d.target.c_str(), d.seconds * 1e6,
-                base > 0.0 ? base / d.seconds : 0.0);
+    std::printf("%-14s %-10s %16.2f %10.2f %11.2fx\n", d.name.c_str(),
+                d.target.c_str(), d.seconds.median * 1e6, d.seconds.iqr * 1e6,
+                base > 0.0 ? base / d.seconds.median : 0.0);
   }
 
   JsonValue::Array assembly_json;
@@ -732,8 +769,8 @@ int RunKernelComparison(const std::string& out_path,
   for (const KernelTiming& k : kernels) {
     JsonValue::Object object;
     object["name"] = k.name;
-    object["dense_seconds"] = k.dense_seconds;
-    object["gram_seconds"] = k.gram_seconds;
+    PutTiming(&object, "dense_seconds", k.dense);
+    PutTiming(&object, "gram_seconds", k.gram);
     object["speedup"] = k.speedup();
     kernel_json.push_back(JsonValue(std::move(object)));
   }
@@ -742,10 +779,10 @@ int RunKernelComparison(const std::string& out_path,
     JsonValue::Object object;
     object["name"] = d.name;
     object["target"] = d.target;
-    object["seconds_per_problem"] = d.seconds;
+    PutTiming(&object, "seconds_per_problem", d.seconds);
     double base = scalar_seconds(d.name);
-    if (base > 0.0 && d.seconds > 0.0) {
-      object["speedup_vs_scalar"] = base / d.seconds;
+    if (base > 0.0 && d.seconds.median > 0.0) {
+      object["speedup_vs_scalar"] = base / d.seconds.median;
     }
     dispatch_json.push_back(JsonValue(std::move(object)));
   }
@@ -761,6 +798,7 @@ int RunKernelComparison(const std::string& out_path,
   doc["kernels"] = JsonValue(std::move(kernel_json));
   doc["kernel_flag"] = kernel_flag;
   doc["batch"] = static_cast<int64_t>(kBatch);
+  doc["repeats"] = static_cast<int64_t>(kTimingRepeats);
   doc["dispatch"] = JsonValue(std::move(dispatch_json));
   doc["assembly"] = JsonValue(std::move(assembly_json));
   bench::StampMachine(&doc);

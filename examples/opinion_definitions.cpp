@@ -37,7 +37,7 @@ int main() {
                 model.opinion_dims(), model.num_aspects());
 
     // Peek at the target's τ: the first few non-zero entries.
-    const Vector& tau = vectors.tau[0];
+    const Vector& tau = vectors.tau(0);
     std::printf("  τ_target non-zeros:");
     int shown = 0;
     for (size_t d = 0; d < tau.size() && shown < 5; ++d) {

@@ -16,7 +16,7 @@ Result<SelectionResult> CompareSetsSelector::Select(
   // Problem 1 decomposes per item: every product's NOMP/rounding run is
   // independent of the others', so fan them out over the request's pool.
   // Each lane assembles its own system from the item's blocks (fetched
-  // through the instance's ItemBlockCache, which locks) and solves on
+  // through the item's ItemBlockSlot, which locks) and solves on
   // its own thread-local scratch; the index-ordered merge keeps
   // selections bit-identical.
   // Each lane writes only its own sampling slot, so the outcome fold

@@ -34,7 +34,7 @@ Result<SelectionResult> CrsSelector::Select(
             auto cost = [&](const Selection& selection) {
               // Pure characteristic objective: match the item's own opinion
               // distribution only.
-              return SquaredDistance(vectors.tau[i],
+              return SquaredDistance(vectors.tau(i),
                                      vectors.OpinionOf(i, selection));
             };
             return SolveIntegerRegression(system.system, options.m, cost,

@@ -1,5 +1,6 @@
 #include "core/design_matrix.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -20,7 +21,7 @@ uint64_t Mix(uint64_t h, uint64_t value) {
 
 /// Hash of a column's nonzero (row, value) entries. Zeros of either sign
 /// are skipped, so columns equal under double comparison hash equal.
-uint64_t ColumnHash(const Vector& column, uint64_t seed) {
+uint64_t ColumnHash(std::span<const double> column, uint64_t seed) {
   uint64_t h = seed;
   for (size_t r = 0; r < column.size(); ++r) {
     if (column[r] != 0.0) {
@@ -60,92 +61,106 @@ size_t PackedIndex(size_t g, size_t h) {
   return g >= h ? g * (g + 1) / 2 + h : h * (h + 1) / 2 + g;
 }
 
+/// Cuts `class_of` (a class per member, 0..classes−1) into `begin`
+/// offsets and `members` in ascending member order, and returns each
+/// class's size.
+std::vector<int> GroupMembers(const std::vector<size_t>& class_of,
+                              size_t classes, std::vector<size_t>* begin,
+                              std::vector<size_t>* members) {
+  std::vector<int> counts(classes, 0);
+  for (size_t c : class_of) ++counts[c];
+  begin->assign(classes + 1, 0);
+  for (size_t c = 0; c < classes; ++c) {
+    (*begin)[c + 1] = (*begin)[c] + static_cast<size_t>(counts[c]);
+  }
+  members->resize(class_of.size());
+  std::vector<size_t> next(begin->begin(), begin->end() - 1);
+  for (size_t j = 0; j < class_of.size(); ++j) {
+    (*members)[next[class_of[j]]++] = j;
+  }
+  return counts;
+}
+
 }  // namespace
 
 size_t ItemBlocks::ApproxMemoryBytes() const {
-  size_t bytes = (gram_opinion.size() + gram_aspect.size() +
-                  vty_opinion.size() + vty_aspect.size()) *
-                 sizeof(double);
-  bytes += (dup_counts.size() + opinion_dup_counts.size()) * sizeof(int);
-  bytes += opinion_head.size() * sizeof(size_t);
-  for (const auto& lists : {&group_reviews, &opinion_group_reviews,
-                            &aspect_support}) {
-    for (const std::vector<size_t>& list : *lists) {
-      bytes += sizeof(list) + list.size() * sizeof(size_t);
-    }
-  }
-  return bytes;
+  size_t doubles = gram_opinion.size() + gram_aspect.size() +
+                   vty_opinion.size();
+  size_t ints = dup_counts.size() + opinion_dup_counts.size();
+  size_t indices = group_begin.size() + group_members.size() +
+                   opinion_head.size() + opinion_group_begin.size() +
+                   opinion_group_members.size() + support_begin.size() +
+                   support_rows.size();
+  return doubles * sizeof(double) + ints * sizeof(int) +
+         indices * sizeof(size_t);
 }
 
-ItemBlocks BuildItemBlocks(const InstanceVectors& vectors, size_t item) {
-  COMPARESETS_CHECK(item < vectors.num_items()) << "item out of range";
-  const std::vector<Vector>& opinion = vectors.opinion_columns[item];
-  const std::vector<Vector>& aspect = vectors.aspect_columns[item];
-  const Vector& tau = vectors.tau[item];
-  const Vector& gamma = vectors.gamma;
-  size_t reviews = vectors.num_reviews(item);
+ItemBlocks BuildItemBlocks(const ItemVectors& item) {
+  const Vector& tau = item.tau;
+  size_t reviews = item.reviews;
+  auto opinion = [&](size_t j) { return item.OpinionColumn(j); };
+  auto aspect = [&](size_t j) { return item.AspectColumn(j); };
+  auto equal = [](std::span<const double> a, std::span<const double> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
 
   // Opinion classes, then pair groups on (opinion class, aspect column);
-  // both numbered by first appearance in review order. Vector equality
+  // both numbered by first appearance in review order. Column equality
   // is exact double equality, the test the materialized dedup made.
   ItemBlocks out;
   std::vector<size_t> class_heads;
   std::vector<size_t> class_of = NumberClasses(
-      reviews, [&](size_t j) { return ColumnHash(opinion[j], 0); },
-      [&](size_t a, size_t b) { return opinion[a] == opinion[b]; },
+      reviews, [&](size_t j) { return ColumnHash(opinion(j), 0); },
+      [&](size_t a, size_t b) { return equal(opinion(a), opinion(b)); },
       &class_heads);
   std::vector<size_t> group_heads;
   std::vector<size_t> group_of = NumberClasses(
       reviews,
-      [&](size_t j) { return ColumnHash(aspect[j], class_of[j] + 1); },
+      [&](size_t j) { return ColumnHash(aspect(j), class_of[j] + 1); },
       [&](size_t a, size_t b) {
-        return class_of[a] == class_of[b] && aspect[a] == aspect[b];
+        return class_of[a] == class_of[b] && equal(aspect(a), aspect(b));
       },
       &group_heads);
 
   size_t q = group_heads.size();
-  out.dup_counts.assign(q, 0);
-  out.group_reviews.resize(q);
-  out.opinion_dup_counts.assign(class_heads.size(), 0);
-  out.opinion_group_reviews.resize(class_heads.size());
-  for (size_t j = 0; j < reviews; ++j) {
-    ++out.dup_counts[group_of[j]];
-    out.group_reviews[group_of[j]].push_back(j);
-    ++out.opinion_dup_counts[class_of[j]];
-    out.opinion_group_reviews[class_of[j]].push_back(j);
-  }
+  out.dup_counts =
+      GroupMembers(group_of, q, &out.group_begin, &out.group_members);
+  out.opinion_dup_counts =
+      GroupMembers(class_of, class_heads.size(), &out.opinion_group_begin,
+                   &out.opinion_group_members);
   // A class's first review also opens the first pair group holding it.
+  out.opinion_head.reserve(class_heads.size());
   for (size_t head : class_heads) out.opinion_head.push_back(group_of[head]);
 
   // Each group's opinion nonzeros and aspect support, from its head.
   std::vector<size_t> entry_begin(q + 1, 0);
   std::vector<size_t> entry_rows;
   std::vector<double> entry_values;
-  out.aspect_support.resize(q);
+  out.support_begin.assign(q + 1, 0);
   for (size_t g = 0; g < q; ++g) {
-    const Vector& b = opinion[group_heads[g]];
+    std::span<const double> b = opinion(group_heads[g]);
     for (size_t r = 0; r < b.size(); ++r) {
       if (b[r] == 0.0) continue;
       entry_rows.push_back(r);
       entry_values.push_back(b[r]);
     }
     entry_begin[g + 1] = entry_rows.size();
-    const Vector& a = aspect[group_heads[g]];
+    std::span<const double> a = aspect(group_heads[g]);
     for (size_t r = 0; r < a.size(); ++r) {
       if (a[r] == 0.0) continue;
       COMPARESETS_CHECK(a[r] == 1.0) << "aspect columns must be 0/1";
-      out.aspect_support[g].push_back(r);
+      out.support_rows.push_back(r);
     }
+    out.support_begin[g + 1] = out.support_rows.size();
   }
 
   // Per-group right-hand sides and the two Gram triangles. Each entry is
   // a sparse dot against a dense scatter of the later column.
   out.vty_opinion.resize(q);
-  out.vty_aspect.resize(q);
   out.gram_opinion.resize(q * (q + 1) / 2);
   out.gram_aspect.resize(q * (q + 1) / 2);
   std::vector<double> opinion_scatter(tau.size(), 0.0);
-  std::vector<char> aspect_scatter(gamma.size(), 0);
+  std::vector<char> aspect_scatter(item.aspect_dims, 0);
   for (size_t g = 0; g < q; ++g) {
     double vty = 0.0;
     for (size_t e = entry_begin[g]; e < entry_begin[g + 1]; ++e) {
@@ -153,12 +168,7 @@ ItemBlocks BuildItemBlocks(const InstanceVectors& vectors, size_t item) {
       vty += entry_values[e] * tau[entry_rows[e]];
     }
     out.vty_opinion[g] = vty;
-    double vty_aspect = 0.0;
-    for (size_t row : out.aspect_support[g]) {
-      aspect_scatter[row] = 1;
-      vty_aspect += gamma[row];
-    }
-    out.vty_aspect[g] = vty_aspect;
+    for (size_t row : out.AspectSupport(g)) aspect_scatter[row] = 1;
     size_t packed = g * (g + 1) / 2;
     for (size_t h = 0; h <= g; ++h) {
       double dot = 0.0;
@@ -166,20 +176,17 @@ ItemBlocks BuildItemBlocks(const InstanceVectors& vectors, size_t item) {
         dot += entry_values[e] * opinion_scatter[entry_rows[e]];
       }
       size_t shared = 0;
-      for (size_t row : out.aspect_support[h]) shared += aspect_scatter[row];
+      for (size_t row : out.AspectSupport(h)) shared += aspect_scatter[row];
       out.gram_opinion[packed + h] = dot;
       out.gram_aspect[packed + h] = static_cast<double>(shared);
     }
     for (size_t e = entry_begin[g]; e < entry_begin[g + 1]; ++e) {
       opinion_scatter[entry_rows[e]] = 0.0;
     }
-    for (size_t row : out.aspect_support[g]) aspect_scatter[row] = 0;
+    for (size_t row : out.AspectSupport(g)) aspect_scatter[row] = 0;
   }
-  out.aspect_rows = gamma.size();
+  out.aspect_rows = item.aspect_dims;
   for (size_t r = 0; r < tau.size(); ++r) out.tau_norm2 += tau[r] * tau[r];
-  for (size_t r = 0; r < gamma.size(); ++r) {
-    out.gamma_norm2 += gamma[r] * gamma[r];
-  }
   return out;
 }
 
@@ -208,25 +215,29 @@ DesignWeights DesignWeights::CompareSetsPlus(
 }
 
 DesignSystem AssembleDesignSystem(const ItemBlocks& blocks,
+                                  std::span<const double> aspect_dots,
+                                  double gamma_norm2,
                                   const DesignWeights& weights) {
   const double lambda2 = weights.lambda * weights.lambda;
   const double mu2 = weights.mu * weights.mu;
   DesignSystem out;
   GramSystem& gram = out.gram;
-  gram.target_norm2 = blocks.tau_norm2 + lambda2 * blocks.gamma_norm2 +
-                      mu2 * weights.phi_norm2;
+  gram.target_norm2 =
+      blocks.tau_norm2 + lambda2 * gamma_norm2 + mu2 * weights.phi_norm2;
 
   if (weights.opinion_only()) {
     // No aspect rows: each opinion group is its head pair group's
     // opinion column, so G and Ṽᵀy are principal picks of the opinion
     // blocks.
     out.dup_counts = blocks.opinion_dup_counts;
-    out.group_reviews = blocks.opinion_group_reviews;
     size_t q = blocks.opinion_head.size();
+    out.group_reviews.reserve(q);
     gram.gram = Matrix(q, q);
     gram.vty = Vector(q);
     gram.col_norms.resize(q);
     for (size_t k = 0; k < q; ++k) {
+      std::span<const size_t> members = blocks.OpinionGroupReviews(k);
+      out.group_reviews.emplace_back(members.begin(), members.end());
       size_t g = blocks.opinion_head[k];
       for (size_t l = 0; l <= k; ++l) {
         double value =
@@ -243,15 +254,19 @@ DesignSystem AssembleDesignSystem(const ItemBlocks& blocks,
   COMPARESETS_CHECK(weights.other_items == 0 ||
                     weights.phi_sum.size() == blocks.aspect_rows)
       << "φ sum size mismatch";
+  COMPARESETS_CHECK(aspect_dots.size() == blocks.group_members.size())
+      << "one aspect dot per review";
   out.dup_counts = blocks.dup_counts;
-  out.group_reviews = blocks.group_reviews;
   size_t q = blocks.pair_groups();
+  out.group_reviews.reserve(q);
   const double aspect_weight =
       lambda2 + static_cast<double>(weights.other_items) * mu2;
   gram.gram = Matrix(q, q);
   gram.vty = Vector(q);
   gram.col_norms.resize(q);
   for (size_t g = 0; g < q; ++g) {
+    std::span<const size_t> members = blocks.GroupReviews(g);
+    out.group_reviews.emplace_back(members.begin(), members.end());
     size_t row = g * (g + 1) / 2;
     for (size_t h = 0; h <= g; ++h) {
       double value = blocks.gram_opinion[row + h] +
@@ -261,9 +276,11 @@ DesignSystem AssembleDesignSystem(const ItemBlocks& blocks,
     }
     double phi_dot = 0.0;
     if (weights.other_items > 0) {
-      for (size_t r : blocks.aspect_support[g]) phi_dot += weights.phi_sum[r];
+      for (size_t r : blocks.AspectSupport(g)) phi_dot += weights.phi_sum[r];
     }
-    gram.vty[g] = blocks.vty_opinion[g] + lambda2 * blocks.vty_aspect[g] +
+    // The group's columns are equal, so its head review's a(r)ᵀΓ is the
+    // group's.
+    gram.vty[g] = blocks.vty_opinion[g] + lambda2 * aspect_dots[members[0]] +
                   mu2 * phi_dot;
     gram.col_norms[g] = std::sqrt(gram.gram(g, g));
   }
@@ -273,25 +290,35 @@ DesignSystem AssembleDesignSystem(const ItemBlocks& blocks,
 std::shared_ptr<const ItemBlocks> GetOrBuildItemBlocks(
     const InstanceVectors& vectors, size_t item) {
   COMPARESETS_CHECK(item < vectors.num_items()) << "item out of range";
-  if (auto stored = vectors.block_cache->Find(item)) return stored;
-  // Build outside the cache's lock: blocks are deterministic, so a
+  const ItemVectors& vectors_of_item = *vectors.items[item];
+  if (auto stored = vectors_of_item.blocks.Find()) return stored;
+  // Build outside the slot's lock: blocks are deterministic, so a
   // racing duplicate build produces an identical value and the first
   // insert wins.
-  auto built =
-      std::make_shared<const ItemBlocks>(BuildItemBlocks(vectors, item));
+  auto built = std::make_shared<const ItemBlocks>(
+      BuildItemBlocks(vectors_of_item));
   size_t bytes = built->ApproxMemoryBytes();
-  return vectors.block_cache->Insert(item, std::move(built), bytes);
+  return vectors_of_item.blocks.Insert(std::move(built), bytes);
 }
 
-DesignSystem BuildCrsSystem(const InstanceVectors& vectors, size_t item) {
+namespace {
+
+DesignSystem AssembleFor(const InstanceVectors& vectors, size_t item,
+                         const DesignWeights& weights) {
   return AssembleDesignSystem(*GetOrBuildItemBlocks(vectors, item),
-                              DesignWeights::Crs());
+                              vectors.AspectDots(item), vectors.gamma_norm2,
+                              weights);
+}
+
+}  // namespace
+
+DesignSystem BuildCrsSystem(const InstanceVectors& vectors, size_t item) {
+  return AssembleFor(vectors, item, DesignWeights::Crs());
 }
 
 DesignSystem BuildCompareSetsSystem(const InstanceVectors& vectors,
                                     size_t item, double lambda) {
-  return AssembleDesignSystem(*GetOrBuildItemBlocks(vectors, item),
-                              DesignWeights::CompareSets(lambda));
+  return AssembleFor(vectors, item, DesignWeights::CompareSets(lambda));
 }
 
 DesignSystem BuildCompareSetsPlusSystem(const InstanceVectors& vectors,
@@ -300,9 +327,8 @@ DesignSystem BuildCompareSetsPlusSystem(const InstanceVectors& vectors,
   COMPARESETS_CHECK(item < vectors.num_items()) << "item out of range";
   COMPARESETS_CHECK(other_phis.size() == vectors.num_items() - 1)
       << "expected one φ per other item";
-  return AssembleDesignSystem(
-      *GetOrBuildItemBlocks(vectors, item),
-      DesignWeights::CompareSetsPlus(lambda, mu, other_phis));
+  return AssembleFor(vectors, item,
+                     DesignWeights::CompareSetsPlus(lambda, mu, other_phis));
 }
 
 }  // namespace comparesets

@@ -12,21 +12,22 @@
 // multiplicities c_1..c_q (Algorithm 1 line 5).
 //
 // None of these columns is ever materialized. The solvers need only the
-// normal equations, and those factor into blocks that depend on the item
-// alone (DESIGN.md §8.7):
+// normal equations, and those factor into blocks (DESIGN.md §8.7):
 //   G     = G_op + (λ² + (n−1)μ²)·G_asp
 //   Ṽᵀy   = V_opᵀτ + λ²·Aᵀγ + μ²·Aᵀ(Σ_{j≠i} φ_j)
 //   ‖y‖²  = ‖τ‖² + λ²‖γ‖² + μ²·Σ_{j≠i} ‖φ_j‖²
-// ItemBlocks holds those blocks plus the dedup groups, built once per
-// item; AssembleDesignSystem turns them into one solvable system at any
-// (λ, μ, φ) in O(q²). Every InstanceVectors keeps its blocks in an
-// ItemBlockCache, so every objective at every λ and μ is served from
-// one build per item.
+// G_op, G_asp, V_opᵀτ, ‖τ‖² and the dedup groups depend on the item's
+// product alone: ItemBlocks holds them, built once per product
+// (ItemVectors::blocks) and shared by every instance holding it. Aᵀγ
+// and ‖γ‖² depend on the target: they are the instance's
+// (InstanceVectors::AspectDots, gamma_norm2). AssembleDesignSystem
+// turns both into one solvable system at any (λ, μ, φ) in O(q²).
 
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "linalg/gram.h"
@@ -49,7 +50,9 @@ struct DesignSystem {
   size_t cols() const { return dup_counts.size(); }
 };
 
-/// The λ/μ-free blocks of one item's design systems.
+/// The λ/μ-free, target-free blocks of one item's design systems,
+/// stored flat: each list of lists is one member array cut by q + 1
+/// offsets.
 ///
 /// Groups are keyed on the (opinion, aspect) signature of each review
 /// and numbered by first appearance in review order — the numbering the
@@ -58,38 +61,57 @@ struct DesignSystem {
 /// (Crs; λ = 0 with no μ block) group on the opinion signature alone:
 /// those groups are unions of pair groups, recorded in `opinion_*`.
 struct ItemBlocks {
-  /// Pair groups: multiplicities and members (ascending review order).
+  /// Pair groups: multiplicities, and members in ascending review order
+  /// (group g's are group_members[group_begin[g], group_begin[g + 1])).
   std::vector<int> dup_counts;
-  std::vector<std::vector<size_t>> group_reviews;
+  std::vector<size_t> group_begin;
+  std::vector<size_t> group_members;
   /// Opinion-only groups, in first-appearance order. opinion_head[k] is
   /// the pair group holding the first review of opinion group k; its
   /// opinion column is the group's.
   std::vector<size_t> opinion_head;
   std::vector<int> opinion_dup_counts;
-  std::vector<std::vector<size_t>> opinion_group_reviews;
+  std::vector<size_t> opinion_group_begin;
+  std::vector<size_t> opinion_group_members;
   /// b_gᵀb_h and a_gᵀa_h over pair groups, packed lower triangles:
   /// entry (g, h), h ≤ g, sits at g(g+1)/2 + h.
   std::vector<double> gram_opinion;
   std::vector<double> gram_aspect;
-  /// b_gᵀτ and a_gᵀγ per pair group.
+  /// b_gᵀτ per pair group.
   std::vector<double> vty_opinion;
-  std::vector<double> vty_aspect;
-  /// Aspect rows where a_g = 1, ascending, per pair group.
-  std::vector<std::vector<size_t>> aspect_support;
+  /// Aspect rows where a_g = 1, ascending, per pair group (cut by
+  /// support_begin).
+  std::vector<size_t> support_begin;
+  std::vector<size_t> support_rows;
   /// Aspect dimensions (the size of Γ and of every φ).
   size_t aspect_rows = 0;
-  /// ‖τ_i‖² and ‖Γ‖².
+  /// ‖τ_i‖².
   double tau_norm2 = 0.0;
-  double gamma_norm2 = 0.0;
 
   size_t pair_groups() const { return dup_counts.size(); }
+  std::span<const size_t> GroupReviews(size_t g) const {
+    return Cut(group_members, group_begin, g);
+  }
+  std::span<const size_t> OpinionGroupReviews(size_t k) const {
+    return Cut(opinion_group_members, opinion_group_begin, k);
+  }
+  std::span<const size_t> AspectSupport(size_t g) const {
+    return Cut(support_rows, support_begin, g);
+  }
   /// Approximate heap footprint (for the service cache accounting).
   size_t ApproxMemoryBytes() const;
+
+ private:
+  static std::span<const size_t> Cut(const std::vector<size_t>& members,
+                                     const std::vector<size_t>& begin,
+                                     size_t k) {
+    return {members.data() + begin[k], begin[k + 1] - begin[k]};
+  }
 };
 
-/// Builds item `item`'s blocks: O(reviews · dims) to group, O(q · nnz)
-/// for the two Gram triangles.
-ItemBlocks BuildItemBlocks(const InstanceVectors& vectors, size_t item);
+/// Builds an item's blocks: O(reviews · dims) to group, O(q · nnz) for
+/// the two Gram triangles.
+ItemBlocks BuildItemBlocks(const ItemVectors& item);
 
 /// The objective weights one assembly applies to the blocks.
 struct DesignWeights {
@@ -115,11 +137,15 @@ struct DesignWeights {
                                        const std::vector<Vector>& other_phis);
 };
 
-/// G, Ṽᵀy, ‖y‖² and the groups of one objective, in O(q²) from `blocks`.
+/// G, Ṽᵀy, ‖y‖² and the groups of one objective, in O(q²) from an
+/// item's `blocks` and its instance's target terms: `aspect_dots`, the
+/// item's a(r)ᵀΓ per review, and ‖Γ‖².
 DesignSystem AssembleDesignSystem(const ItemBlocks& blocks,
+                                  std::span<const double> aspect_dots,
+                                  double gamma_norm2,
                                   const DesignWeights& weights);
 
-/// Item `item`'s blocks from `vectors.block_cache`, built and stored
+/// Item `item`'s blocks from its ItemVectors' slot, built and stored
 /// there on first use.
 std::shared_ptr<const ItemBlocks> GetOrBuildItemBlocks(
     const InstanceVectors& vectors, size_t item);

@@ -13,8 +13,8 @@ InformationLoss MeasureInformationLoss(
   double cosine_sum = 0.0;
   for (size_t i = 0; i < selections.size(); ++i) {
     Vector pi = vectors.OpinionOf(i, selections[i]);
-    double delta = SquaredDistance(vectors.tau[i], pi);
-    double cosine = CosineSimilarity(vectors.tau[i], pi);
+    double delta = SquaredDistance(vectors.tau(i), pi);
+    double cosine = CosineSimilarity(vectors.tau(i), pi);
     if (i == 0) {
       out.delta_target = delta;
       out.cosine_target = cosine;

@@ -8,7 +8,7 @@ double ItemCost(const InstanceVectors& vectors, size_t item,
                 const Selection& selection, double lambda) {
   Vector pi = vectors.OpinionOf(item, selection);
   Vector phi = vectors.AspectOf(item, selection);
-  return SquaredDistance(vectors.tau[item], pi) +
+  return SquaredDistance(vectors.tau(item), pi) +
          lambda * lambda * SquaredDistance(vectors.gamma, phi);
 }
 
@@ -32,7 +32,7 @@ double CompareSetsObjective(const InstanceVectors& vectors,
   SelectionVectors sv = BuildSelectionVectors(vectors, selections);
   double total = 0.0;
   for (size_t i = 0; i < selections.size(); ++i) {
-    total += SquaredDistance(vectors.tau[i], sv.pi[i]) +
+    total += SquaredDistance(vectors.tau(i), sv.pi[i]) +
              lambda * lambda * SquaredDistance(vectors.gamma, sv.phi[i]);
   }
   return total;
@@ -44,7 +44,7 @@ double CompareSetsPlusObjective(const InstanceVectors& vectors,
   SelectionVectors sv = BuildSelectionVectors(vectors, selections);
   double total = 0.0;
   for (size_t i = 0; i < selections.size(); ++i) {
-    total += SquaredDistance(vectors.tau[i], sv.pi[i]) +
+    total += SquaredDistance(vectors.tau(i), sv.pi[i]) +
              lambda * lambda * SquaredDistance(vectors.gamma, sv.phi[i]);
   }
   for (size_t i = 0; i < selections.size(); ++i) {
@@ -64,8 +64,8 @@ double ItemPairDistance(const InstanceVectors& vectors,
   Vector phi_i = vectors.AspectOf(i, selections[i]);
   Vector phi_j = vectors.AspectOf(j, selections[j]);
   double lambda2 = lambda * lambda;
-  return SquaredDistance(vectors.tau[i], pi_i) +
-         SquaredDistance(vectors.tau[j], pi_j) +
+  return SquaredDistance(vectors.tau(i), pi_i) +
+         SquaredDistance(vectors.tau(j), pi_j) +
          lambda2 * SquaredDistance(vectors.gamma, phi_i) +
          lambda2 * SquaredDistance(vectors.gamma, phi_j) +
          mu * mu * SquaredDistance(phi_i, phi_j);

@@ -41,7 +41,7 @@ Result<SimilarityGraph> BuildSimilarityGraph(
   std::vector<double> item_cost(n);
   double lambda2 = lambda * lambda;
   for (size_t i = 0; i < n; ++i) {
-    item_cost[i] = SquaredDistance(vectors.tau[i], sv.pi[i]) +
+    item_cost[i] = SquaredDistance(vectors.tau(i), sv.pi[i]) +
                    lambda2 * SquaredDistance(vectors.gamma, sv.phi[i]);
   }
 

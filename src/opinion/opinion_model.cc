@@ -1,5 +1,6 @@
 #include "opinion/opinion_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -169,8 +170,24 @@ Vector OpinionModel::AspectVector(const ReviewSet& reviews) const {
 
 Vector OpinionModel::ReviewOpinionColumn(const Review& review) const {
   Vector out(opinion_dims(), 0.0);
+  WriteReviewOpinionColumn(review, out.data());
+  return out;
+}
+
+Vector OpinionModel::ReviewAspectColumn(const Review& review) const {
+  Vector out(num_aspects_, 0.0);
+  WriteReviewAspectColumn(review, out.data());
+  return out;
+}
+
+void OpinionModel::WriteReviewOpinionColumn(const Review& review,
+                                            std::span<double> out) const {
+  COMPARESETS_CHECK(out.size() == opinion_dims())
+      << "opinion column size mismatch";
   if (definition_ == OpinionDefinition::kLearnedPreference) {
-    return LearnedColumn(review);
+    Vector learned = LearnedColumn(review);
+    std::copy(learned.data().begin(), learned.data().end(), out.begin());
+    return;
   }
   if (definition_ == OpinionDefinition::kUnaryScale) {
     for (const OpinionMention& mention : review.opinions) {
@@ -182,7 +199,7 @@ Vector OpinionModel::ReviewOpinionColumn(const Review& review) const {
         out[a] -= mention.strength;
       }
     }
-    return out;
+    return;
   }
   for (const OpinionMention& mention : review.opinions) {
     if (definition_ == OpinionDefinition::kBinary &&
@@ -191,18 +208,18 @@ Vector OpinionModel::ReviewOpinionColumn(const Review& review) const {
     }
     out[OpinionIndex(mention.aspect, mention.polarity)] = 1.0;
   }
-  return out;
 }
 
-Vector OpinionModel::ReviewAspectColumn(const Review& review) const {
-  Vector out(num_aspects_, 0.0);
+void OpinionModel::WriteReviewAspectColumn(const Review& review,
+                                           std::span<double> out) const {
+  COMPARESETS_CHECK(out.size() == num_aspects_)
+      << "aspect column size mismatch";
   for (AspectId aspect : review.MentionedAspects()) {
     COMPARESETS_CHECK(aspect >= 0 &&
                       static_cast<size_t>(aspect) < num_aspects_)
         << "aspect id out of range";
     out[static_cast<size_t>(aspect)] = 1.0;
   }
-  return out;
 }
 
 ReviewSet AllReviews(const Product& product) {

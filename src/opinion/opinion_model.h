@@ -19,6 +19,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -91,6 +92,13 @@ class OpinionModel {
 
   /// The aspect block a(r): 0/1 presence indicators per aspect.
   Vector ReviewAspectColumn(const Review& review) const;
+
+  /// The two blocks above, written into zero-filled `out` of
+  /// opinion_dims() (resp. num_aspects()) entries.
+  void WriteReviewOpinionColumn(const Review& review,
+                                std::span<double> out) const;
+  void WriteReviewAspectColumn(const Review& review,
+                               std::span<double> out) const;
 
  private:
   /// Dimension index of opinion (aspect, polarity) under this model.

@@ -156,6 +156,7 @@ SelectionEngine::SelectionEngine(std::shared_ptr<const IndexedCorpus> corpus,
     : options_(options),
       corpus_(std::move(corpus)),
       cache_(options.cache_capacity),
+      item_store_(options.cache_capacity),
       result_memo_(std::max<size_t>(1, options.result_capacity)) {
   // Standalone engine: a private pipeline and pool from its own knobs.
   if (options_.pipeline == nullptr) {
@@ -168,6 +169,9 @@ SelectionEngine::SelectionEngine(std::shared_ptr<const IndexedCorpus> corpus,
   quality_floor_.store(static_cast<int>(options_.min_quality_tier),
                        std::memory_order_relaxed);
   metrics_.SetTraceCapacity(options_.trace_capacity);
+  // Item reuse reads from telemetry before the first miss, too.
+  metrics_.counter("engine.item_vectors_built");
+  metrics_.counter("engine.item_vectors_reused");
 }
 
 void SelectionEngine::SetQualityFloor(QualityTier floor, bool slo_driven) {
@@ -227,6 +231,13 @@ Status SelectionEngine::Publish(std::shared_ptr<const IndexedCorpus> corpus,
           return prepare_key.append(options);
         });
   }
+  // Per-product vectors outlive the instances that dropped: keep those
+  // whose product the new snapshot still holds, so a changed instance
+  // rebuilds only its changed items.
+  item_store_.Retain([&](const Product& product, size_t num_aspects) {
+    return num_aspects == corpus->num_aspects() &&
+           corpus->FindProduct(product.id) == &product;
+  });
   metrics_.counter("engine.publish_carried").Increment(vectors.kept +
                                                         memo.kept);
   metrics_.counter("engine.publish_dropped").Increment(vectors.dropped +
@@ -308,7 +319,12 @@ Result<std::shared_ptr<const PreparedInstance>> SelectionEngine::Prepare(
   }
 
   OpinionModel model(options_.opinion, corpus.num_aspects());
-  auto bundle = PreparedInstance::Create(std::move(products), model);
+  size_t items = products.size();
+  size_t built = 0;
+  auto bundle = PreparedInstance::Create(std::move(products), model,
+                                         item_store_, &built);
+  metrics_.counter("engine.item_vectors_built").Increment(built);
+  metrics_.counter("engine.item_vectors_reused").Increment(items - built);
   cache_.Put(key, bundle);
   return bundle;
 }
@@ -704,8 +720,13 @@ std::vector<Result<SelectResponse>> SelectionEngine::SelectBatch(
 void SelectionEngine::RefreshGauges() const {
   VectorCacheStats stats = cache_.Stats();
   metrics_.SetGauge("cache.entries", static_cast<double>(stats.entries));
-  metrics_.SetGauge("cache.approx_bytes",
-                    static_cast<double>(stats.approx_bytes));
+  // Cached bundles count their shared items once; the store adds the
+  // items no bundle holds.
+  metrics_.SetGauge(
+      "cache.approx_bytes",
+      static_cast<double>(stats.approx_bytes + item_store_.IdleBytes()));
+  metrics_.SetGauge("pool.steals",
+                    static_cast<double>(options_.pool->steals()));
   metrics_.SetGauge("cache.evictions", static_cast<double>(stats.evictions));
   {
     std::lock_guard<std::mutex> lock(result_mutex_);

@@ -392,6 +392,11 @@ class SelectionEngine {
   /// Sum of every Publish's reviews_added.
   std::atomic<uint64_t> ingested_reviews_{0};
   mutable VectorCache cache_;
+  /// Per-product vectors behind the cached bundles: a miss builds only
+  /// the items no bundle prepared before (engine.item_vectors_built /
+  /// engine.item_vectors_reused). Keeps at most 2 × cache_capacity
+  /// items no bundle holds.
+  mutable ItemVectorStore item_store_;
 
   /// Fully solved responses, keyed on the vector-cache key extended
   /// with selector name + every SelectorOptions field.

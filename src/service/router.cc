@@ -342,7 +342,12 @@ MetricsSnapshot RollupSnapshots(const std::vector<MetricsSnapshot>& shards) {
   std::map<std::string, HistogramSnapshot> histograms;
   for (const MetricsSnapshot& shard : shards) {
     for (const auto& [name, value] : shard.counters) counters[name] += value;
-    for (const auto& [name, value] : shard.gauges) gauges[name] += value;
+    for (const auto& [name, value] : shard.gauges) {
+      // Pool gauges describe the pool the shards share, which the
+      // router reports once itself.
+      if (name.rfind("pool.", 0) == 0) continue;
+      gauges[name] += value;
+    }
     for (const auto& [name, h] : shard.histograms) {
       HistogramSnapshot& merged = histograms[name];
       if (merged.count == 0) {
@@ -403,6 +408,7 @@ std::string ShardRouter::DumpMetrics() const {
   // Router counters first, then the cross-shard rollup in the same
   // format a single engine dumps — so consumers of the unsharded dump
   // (scripts grepping "counter engine.requests") read the same lines.
+  metrics_.SetGauge("pool.steals", static_cast<double>(pool_->steals()));
   std::string out = metrics_.Dump();
   out += DumpSnapshot(RollupSnapshots(shards));
   if (engines_.size() > 1) {

@@ -1,25 +1,32 @@
 // VectorCache: a bounded, thread-safe LRU cache of prepared instance
-// contexts. Building InstanceVectors (τ, Γ and the per-review design
-// columns) costs O(reviews × dims) per instance — the dominant setup
+// contexts, over an ItemVectorStore of per-product vectors. Building an
+// instance's vectors (τ, Γ, the per-review design columns and the
+// per-item design blocks) costs O(reviews × dims) — the dominant setup
 // cost of a query — so repeated queries against the same catalog should
-// pay it once, not per request.
+// pay it once, not per request; and since all of it but the target
+// terms depends on the product alone, an instance that shares products
+// with one prepared before pays only for the products it adds.
 //
 // Entries are immutable PreparedInstance bundles held by shared_ptr:
 // a lookup hands out shared ownership, so an entry evicted (or dropped
 // by a catalog publication) while a request is still computing on it
 // stays alive until that request finishes. A bundle owns the products
 // it was built from, not the snapshot, so an entry carried across
-// publications (SelectionEngine::Publish) keeps only those alive.
+// publications (SelectionEngine::Publish) keeps only those alive. A
+// bundle's own part is thin — the instance, Γ and a(r)ᵀΓ per review,
+// and the alignment memo; its per-item vectors are shared with the
+// store and with every other bundle holding the same product.
 //
-// Concurrency contract (docs/execution-model.md): the cache itself is
-// mutex-guarded, and a handed-out bundle is safe for any number of
-// concurrent readers — including the lanes of one request's
-// intra-request fan-out. The only mutations behind a bundle are two
-// lazy memos, each behind its own lock: the per-item design blocks
-// (ItemBlockCache), pure functions of the immutable vectors, so racing
-// lanes at worst build the same blocks twice and keep one; and the
-// alignment documents (AlignmentDocumentMemo), built once per review
-// under the memo's lock. Results are unaffected either way.
+// Concurrency contract (docs/execution-model.md): the cache and the
+// store are each mutex-guarded, and a handed-out bundle is safe for any
+// number of concurrent readers — including the lanes of one request's
+// intra-request fan-out and requests on other instances sharing its
+// items. The only mutations behind a bundle are two lazy memos, each
+// behind its own lock: each item's design blocks (ItemBlockSlot), pure
+// functions of the immutable item vectors, so racing builders at worst
+// build the same blocks twice and keep one; and the alignment documents
+// (AlignmentDocumentMemo), built once per review under the memo's lock.
+// Results are unaffected either way.
 
 #pragma once
 
@@ -28,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "data/corpus.h"
@@ -37,12 +45,82 @@
 
 namespace comparesets {
 
+/// Per-product ItemVectors, shared by every instance an engine prepares
+/// that holds the same product object. Keyed by product identity, the
+/// opinion definition and the aspect count. Each entry pins its product
+/// (shared ownership), so no other product can take its address while
+/// the entry exists: an entry only ever serves the product it was built
+/// from.
+///
+/// Lifetime: SelectionEngine::Publish retains the entries whose product
+/// the new snapshot still holds and drops the rest (Retain). Entries
+/// that no prepared bundle or running request references are idle; they
+/// let a dropped instance rebuild only its changed items when no other
+/// bundle holds the rest. Entries a bundle references are bounded by the
+/// bundles themselves; idle ones by `idle_capacity` (at least 1). Once
+/// inserts take the map `idle_capacity` entries past its size after the
+/// last eviction or Retain, the least recently used idle entries are
+/// evicted down to `idle_capacity`: the O(entries) scan is paid once per
+/// `idle_capacity` inserts, and at most 2 × `idle_capacity` idle entries
+/// are kept between scans (plus those whose last bundle dropped since).
+class ItemVectorStore {
+ public:
+  explicit ItemVectorStore(size_t idle_capacity);
+
+  /// `product`'s vectors under `model`: the stored entry, or built (out
+  /// of the lock) and stored on a miss. Sets *built accordingly; a
+  /// racing build of the same product keeps the first stored entry.
+  std::shared_ptr<const ItemVectors> GetOrBuild(
+      const std::shared_ptr<const Product>& product, const OpinionModel& model,
+      bool* built);
+
+  /// Drops every entry whose product `live` rejects (it also gets the
+  /// entry's aspect count). Returns how many were dropped.
+  size_t Retain(
+      const std::function<bool(const Product&, size_t num_aspects)>& live);
+
+  size_t size() const;
+  /// Footprint of the idle entries (those a bundle holds are counted by
+  /// VectorCache::Stats).
+  size_t IdleBytes() const;
+
+ private:
+  struct Key {
+    const Product* product;
+    OpinionDefinition definition;
+    size_t num_aspects;
+    bool operator==(const Key& other) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const;
+  };
+  struct Entry {
+    std::shared_ptr<const Product> product;
+    std::shared_ptr<const ItemVectors> vectors;
+    uint64_t last_used = 0;
+  };
+  /// Whether only the store holds `entry`'s vectors.
+  static bool Idle(const Entry& entry) {
+    return entry.vectors.use_count() == 1;
+  }
+  /// Once the map reaches evict_at_, evicts the least recently used
+  /// idle entries beyond idle_capacity_ and moves evict_at_ on.
+  void EvictIdleLocked();
+
+  const size_t idle_capacity_;
+  mutable std::mutex mutex_;
+  std::unordered_map<Key, Entry, KeyHash> entries_;
+  uint64_t clock_ = 0;
+  /// Map size at which the next insert scans for idle entries.
+  size_t evict_at_;
+};
+
 /// One cached, fully prepared problem instance. The bundle owns every
 /// layer a selector needs: the instance's products (shared with the
 /// snapshots that hold them, and immutable while shared), the instance
 /// (whose Product pointers reach into them), the derived vectors (whose
-/// `instance` pointer reaches into this same bundle, and whose
-/// block_cache holds the λ/μ-free per-item design blocks), and the
+/// `instance` pointer reaches into this same bundle, and whose items —
+/// shared per product — carry the λ/μ-free design blocks), and the
 /// interned alignment documents. Never moved after wiring — always
 /// heap-allocated behind shared_ptr.
 struct PreparedInstance {
@@ -54,10 +132,13 @@ struct PreparedInstance {
   std::unique_ptr<AlignmentDocumentMemo> alignment_docs;
 
   /// Allocates a bundle over `products` (target first) and wires the
-  /// instance, the vectors and the alignment memo to it.
+  /// instance, the vectors and the alignment memo to it. Item vectors
+  /// come from `store`; adds how many it built to *items_built when
+  /// given.
   static std::shared_ptr<const PreparedInstance> Create(
       std::vector<std::shared_ptr<const Product>> products,
-      const OpinionModel& model);
+      const OpinionModel& model, ItemVectorStore& store,
+      size_t* items_built = nullptr);
 };
 
 /// Monotonic counters exposed by the cache (snapshot semantics).
@@ -66,8 +147,9 @@ struct VectorCacheStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;
   size_t entries = 0;
-  /// Sum of cached footprints: InstanceVectors plus the built item
-  /// blocks and alignment documents.
+  /// Cached footprint: each bundle's own part (instance vectors and
+  /// alignment documents) plus every item vector and its blocks, counted
+  /// once however many bundles share it.
   size_t approx_bytes = 0;
 };
 

@@ -60,7 +60,7 @@ ExampleProxies ComputeExampleProxies(const InstanceVectors& vectors,
   // Q2 proxy: how much of each item's opinion distribution survives.
   double cosine_sum = 0.0;
   for (size_t item : items) {
-    cosine_sum += CosineSimilarity(vectors.tau[item],
+    cosine_sum += CosineSimilarity(vectors.tau(item),
                                    vectors.OpinionOf(item, selections[item]));
   }
   out.informativeness = cosine_sum / static_cast<double>(items.size());

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,16 +85,20 @@ void ExpectGridMatches(const InstanceVectors& vectors,
   const std::vector<double> lambdas = {-1.0, 0.0, 0.5, 1.0, 2.0};
   const std::vector<double> mus = {0.0, 0.05, 0.1, 1.0};
   for (size_t item = 0; item < vectors.num_items(); ++item) {
-    ItemBlocks blocks = BuildItemBlocks(vectors, item);
+    ItemBlocks blocks = BuildItemBlocks(*vectors.items[item]);
+    auto assemble = [&](const DesignWeights& weights) {
+      return AssembleDesignSystem(blocks, vectors.AspectDots(item),
+                                  vectors.gamma_norm2, weights);
+    };
     std::string at = where + " item " + std::to_string(item);
     ExpectMatches(oracle::BuildCrsSystem(vectors, item),
-                  AssembleDesignSystem(blocks, DesignWeights::Crs()),
+                  assemble(DesignWeights::Crs()),
                   at + " crs");
     for (double lambda : lambdas) {
       std::string with_lambda = at + " lambda " + std::to_string(lambda);
       ExpectMatches(
           oracle::BuildCompareSetsSystem(vectors, item, lambda),
-          AssembleDesignSystem(blocks, DesignWeights::CompareSets(lambda)),
+          assemble(DesignWeights::CompareSets(lambda)),
           with_lambda + " comparesets");
       for (double mu : mus) {
         for (size_t n = 1; n <= 11; ++n) {
@@ -101,8 +106,7 @@ void ExpectGridMatches(const InstanceVectors& vectors,
           ExpectMatches(
               oracle::BuildCompareSetsPlusSystem(vectors, item, lambda, mu,
                                                  phis),
-              AssembleDesignSystem(
-                  blocks, DesignWeights::CompareSetsPlus(lambda, mu, phis)),
+              assemble(DesignWeights::CompareSetsPlus(lambda, mu, phis)),
               with_lambda + " mu " + std::to_string(mu) + " n " +
                   std::to_string(n));
           if (::testing::Test::HasFatalFailure()) return;
@@ -138,15 +142,15 @@ TEST(DesignAssemblyTest, OpinionOnlyGroupsMergePairGroups) {
   Workload workload = BuildWorkload(24, 6);
   for (const InstanceVectors& vectors : workload.vectors()) {
     for (size_t item = 0; item < vectors.num_items(); ++item) {
-      ItemBlocks blocks = BuildItemBlocks(vectors, item);
+      ItemBlocks blocks = BuildItemBlocks(*vectors.items[item]);
       size_t merged = 0;
       for (size_t k = 0; k < blocks.opinion_head.size(); ++k) {
-        const std::vector<size_t>& members = blocks.opinion_group_reviews[k];
+        std::span<const size_t> members = blocks.OpinionGroupReviews(k);
         EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
         EXPECT_EQ(static_cast<size_t>(blocks.opinion_dup_counts[k]),
                   members.size());
         EXPECT_EQ(members.front(),
-                  blocks.group_reviews[blocks.opinion_head[k]].front());
+                  blocks.GroupReviews(blocks.opinion_head[k]).front());
         merged += members.size();
       }
       EXPECT_EQ(merged, vectors.num_reviews(item));

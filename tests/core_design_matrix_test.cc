@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "oracle/materialized_design.h"
 #include "test_fixtures.h"
 
 namespace comparesets {
 namespace {
+
+Vector Column(std::span<const double> column) {
+  return Vector(std::vector<double>(column.begin(), column.end()));
+}
 
 class DesignMatrixTest : public ::testing::Test {
  protected:
@@ -23,12 +30,13 @@ class DesignMatrixTest : public ::testing::Test {
 TEST_F(DesignMatrixTest, CrsSystemTargetsOpinionsOnly) {
   DesignSystem system = BuildCrsSystem(vectors_, 0);
   EXPECT_DOUBLE_EQ(system.gram.target_norm2,
-                   vectors_.tau[0].Dot(vectors_.tau[0]));
+                   vectors_.tau(0).Dot(vectors_.tau(0)));
   ASSERT_EQ(system.gram.vty.size(), system.cols());
   for (size_t g = 0; g < system.cols(); ++g) {
     size_t review = system.group_reviews[g][0];
     EXPECT_DOUBLE_EQ(system.gram.vty[g],
-                     vectors_.opinion_columns[0][review].Dot(vectors_.tau[0]));
+                     Column(vectors_.items[0]->OpinionColumn(review))
+                         .Dot(vectors_.tau(0)));
   }
 }
 
@@ -36,7 +44,7 @@ TEST_F(DesignMatrixTest, CompareSetsTargetNormAddsWeightedGamma) {
   double lambda = 2.0;
   DesignSystem system = BuildCompareSetsSystem(vectors_, 0, lambda);
   EXPECT_DOUBLE_EQ(system.gram.target_norm2,
-                   vectors_.tau[0].Dot(vectors_.tau[0]) +
+                   vectors_.tau(0).Dot(vectors_.tau(0)) +
                        lambda * lambda * vectors_.gamma.Dot(vectors_.gamma));
 }
 
@@ -55,17 +63,18 @@ TEST_F(DesignMatrixTest, DeduplicationMergesIdenticalReviews) {
 }
 
 TEST_F(DesignMatrixTest, GroupReviewsShareOneSignature) {
-  ItemBlocks blocks = BuildItemBlocks(vectors_, 0);
+  const ItemVectors& item = *vectors_.items[0];
+  ItemBlocks blocks = BuildItemBlocks(item);
   const Product& target = *instance_.items[0];
   for (size_t g = 0; g < blocks.pair_groups(); ++g) {
-    size_t head = blocks.group_reviews[g][0];
-    for (size_t review_index : blocks.group_reviews[g]) {
+    size_t head = blocks.GroupReviews(g)[0];
+    for (size_t review_index : blocks.GroupReviews(g)) {
       ASSERT_LT(review_index, target.reviews.size());
-      EXPECT_EQ(vectors_.opinion_columns[0][review_index],
-                vectors_.opinion_columns[0][head])
+      EXPECT_EQ(Column(item.OpinionColumn(review_index)),
+                Column(item.OpinionColumn(head)))
           << "group " << g;
-      EXPECT_EQ(vectors_.aspect_columns[0][review_index],
-                vectors_.aspect_columns[0][head])
+      EXPECT_EQ(Column(item.AspectColumn(review_index)),
+                Column(item.AspectColumn(head)))
           << "group " << g;
     }
   }
@@ -73,7 +82,7 @@ TEST_F(DesignMatrixTest, GroupReviewsShareOneSignature) {
 
 TEST_F(DesignMatrixTest, LambdaWeighsTheAspectGramOnly) {
   // G(λ) = G_op + λ²·G_asp: going from λ = 1 to λ = 3 adds 8·G_asp.
-  ItemBlocks blocks = BuildItemBlocks(vectors_, 0);
+  ItemBlocks blocks = BuildItemBlocks(*vectors_.items[0]);
   DesignSystem unscaled = BuildCompareSetsSystem(vectors_, 0, 1.0);
   DesignSystem scaled = BuildCompareSetsSystem(vectors_, 0, 3.0);
   ASSERT_EQ(unscaled.cols(), scaled.cols());
@@ -90,7 +99,7 @@ TEST_F(DesignMatrixTest, PlusSystemStacksOneMuBlockPerOtherItem) {
   std::vector<Vector> other_phis = {vectors_.AspectOf(1, {0, 1}),
                                     vectors_.AspectOf(2, {0})};
   double mu = 0.5;
-  ItemBlocks blocks = BuildItemBlocks(vectors_, 0);
+  ItemBlocks blocks = BuildItemBlocks(*vectors_.items[0]);
   DesignSystem plus =
       BuildCompareSetsPlusSystem(vectors_, 0, 1.0, mu, other_phis);
   DesignSystem plain = BuildCompareSetsSystem(vectors_, 0, 1.0);
@@ -104,7 +113,9 @@ TEST_F(DesignMatrixTest, PlusSystemStacksOneMuBlockPerOtherItem) {
                      2.0 * mu * mu * aspect);
     size_t review = plus.group_reviews[g][0];
     EXPECT_NEAR(plus.gram.vty[g] - plain.gram.vty[g],
-                mu * mu * vectors_.aspect_columns[0][review].Dot(phi_sum),
+                mu * mu *
+                    Column(vectors_.items[0]->AspectColumn(review))
+                        .Dot(phi_sum),
                 1e-12);
   }
   EXPECT_NEAR(plus.gram.target_norm2 - plain.gram.target_norm2,
@@ -150,29 +161,35 @@ TEST_F(DesignMatrixTest, AssemblyMatchesMaterializedBuilder) {
   }
 }
 
-TEST_F(DesignMatrixTest, BlockCacheServesOneBuildPerItem) {
-  // BuildInstanceVectors gives the instance its own memo, empty until a
-  // solve asks for an item's blocks.
-  const ItemBlockCache& cache = *vectors_.block_cache;
-  EXPECT_EQ(cache.ApproxMemoryBytes(), 0u);
-  EXPECT_EQ(cache.Find(1), nullptr);
+TEST_F(DesignMatrixTest, BlockSlotServesOneBuildPerProduct) {
+  // A freshly built item's slot is empty until a solve asks for its
+  // blocks.
+  const ItemBlockSlot& slot = vectors_.items[1]->blocks;
+  EXPECT_EQ(slot.ApproxMemoryBytes(), 0u);
+  EXPECT_EQ(slot.Find(), nullptr);
   auto first = GetOrBuildItemBlocks(vectors_, 1);
   auto again = GetOrBuildItemBlocks(vectors_, 1);
   EXPECT_EQ(first.get(), again.get());
-  EXPECT_EQ(cache.Find(1).get(), first.get());
-  EXPECT_EQ(cache.ApproxMemoryBytes(), first->ApproxMemoryBytes());
-  EXPECT_GT(cache.ApproxMemoryBytes(), 0u);
-  // Copies share the memo.
+  EXPECT_EQ(slot.Find().get(), first.get());
+  EXPECT_EQ(slot.ApproxMemoryBytes(), first->ApproxMemoryBytes());
+  EXPECT_GT(slot.ApproxMemoryBytes(), 0u);
+  // Copies share the item vectors, so they share the blocks.
   InstanceVectors copy = vectors_;
   EXPECT_EQ(GetOrBuildItemBlocks(copy, 1).get(), first.get());
-  // Vectors built again start with their own memo and build an equal
+  // Another instance assembled over the same item vectors shares them
+  // too, whatever its target: the blocks hold no target term.
+  ProblemInstance swapped{{instance_.items[1], instance_.items[0]}};
+  InstanceVectors other = AssembleInstanceVectors(
+      vectors_.model, swapped, {vectors_.items[1], vectors_.items[0]});
+  EXPECT_EQ(GetOrBuildItemBlocks(other, 0).get(), first.get());
+  // Vectors built again start with their own slot and build an equal
   // value.
   InstanceVectors rebuilt =
       BuildInstanceVectors(OpinionModel::Binary(5), instance_);
   auto fresh = GetOrBuildItemBlocks(rebuilt, 1);
   EXPECT_NE(fresh.get(), first.get());
   EXPECT_EQ(fresh->gram_opinion, first->gram_opinion);
-  EXPECT_EQ(cache.ApproxMemoryBytes(), first->ApproxMemoryBytes());
+  EXPECT_EQ(slot.ApproxMemoryBytes(), first->ApproxMemoryBytes());
 }
 
 }  // namespace

@@ -179,7 +179,7 @@ TEST_F(SelectorsTest, CrsIgnoresAspectCoverage) {
   auto result = crs.Select(vectors_, Options());
   ASSERT_TRUE(result.ok());
   Vector pi = vectors_.OpinionOf(0, result.value().selections[0]);
-  EXPECT_NEAR(SquaredDistance(vectors_.tau[0], pi), 0.0, 1e-12);
+  EXPECT_NEAR(SquaredDistance(vectors_.tau(0), pi), 0.0, 1e-12);
 }
 
 TEST_F(SelectorsTest, InvalidOptionsRejectedByAllSelectors) {

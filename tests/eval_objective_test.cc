@@ -23,7 +23,7 @@ TEST_F(ObjectiveTest, FullSetSelectionHasZeroCost) {
   // Selecting every review makes π(S) = τ and φ(S) = Γ-for-the-target:
   // identity reconstruction invariant.
   Selection all_target = {0, 1, 2, 3, 4, 5};
-  EXPECT_NEAR(SquaredDistance(vectors_.tau[0],
+  EXPECT_NEAR(SquaredDistance(vectors_.tau(0),
                               vectors_.OpinionOf(0, all_target)),
               0.0, 1e-12);
   EXPECT_NEAR(ItemCost(vectors_, 0, all_target, 1.0), 0.0, 1e-12);
@@ -33,7 +33,7 @@ TEST_F(ObjectiveTest, ItemCostCombinesOpinionAndAspectTerms) {
   Selection partial = {2};  // {battery−} only.
   double lambda = 2.0;
   double expected =
-      SquaredDistance(vectors_.tau[0], vectors_.OpinionOf(0, partial)) +
+      SquaredDistance(vectors_.tau(0), vectors_.OpinionOf(0, partial)) +
       lambda * lambda *
           SquaredDistance(vectors_.gamma, vectors_.AspectOf(0, partial));
   EXPECT_NEAR(ItemCost(vectors_, 0, partial, lambda), expected, 1e-12);
@@ -42,7 +42,7 @@ TEST_F(ObjectiveTest, ItemCostCombinesOpinionAndAspectTerms) {
 TEST_F(ObjectiveTest, LambdaZeroDropsAspectTerm) {
   Selection partial = {2};
   double cost = ItemCost(vectors_, 0, partial, 0.0);
-  EXPECT_NEAR(cost, SquaredDistance(vectors_.tau[0],
+  EXPECT_NEAR(cost, SquaredDistance(vectors_.tau(0),
                                     vectors_.OpinionOf(0, partial)),
               1e-12);
 }
@@ -100,8 +100,8 @@ TEST_F(ObjectiveTest, PairDistanceDecomposition) {
   double d = ItemPairDistance(vectors_, selections, 0, 2, lambda, mu);
   SelectionVectors sv = BuildSelectionVectors(vectors_, selections);
   double expected =
-      SquaredDistance(vectors_.tau[0], sv.pi[0]) +
-      SquaredDistance(vectors_.tau[2], sv.pi[2]) +
+      SquaredDistance(vectors_.tau(0), sv.pi[0]) +
+      SquaredDistance(vectors_.tau(2), sv.pi[2]) +
       SquaredDistance(vectors_.gamma, sv.phi[0]) +
       SquaredDistance(vectors_.gamma, sv.phi[2]) +
       mu * mu * SquaredDistance(sv.phi[0], sv.phi[2]);

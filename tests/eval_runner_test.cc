@@ -25,7 +25,7 @@ TEST(WorkloadTest, BuildSyntheticPreparesVectors) {
   for (size_t i = 0; i < workload.value().num_instances(); ++i) {
     const InstanceVectors& vectors = workload.value().vectors()[i];
     EXPECT_EQ(vectors.instance, &workload.value().instances()[i]);
-    EXPECT_EQ(vectors.tau.size(), vectors.num_items());
+    EXPECT_EQ(vectors.items.size(), vectors.num_items());
     EXPECT_EQ(vectors.gamma.size(),
               workload.value().corpus().num_aspects());
   }
@@ -48,7 +48,7 @@ TEST(WorkloadTest, OpinionDefinitionPropagates) {
   ASSERT_TRUE(workload.ok());
   EXPECT_EQ(workload.value().vectors()[0].model.definition(),
             OpinionDefinition::kUnaryScale);
-  EXPECT_EQ(workload.value().vectors()[0].tau[0].size(),
+  EXPECT_EQ(workload.value().vectors()[0].tau(0).size(),
             workload.value().corpus().num_aspects());
 }
 

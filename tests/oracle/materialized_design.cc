@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <utility>
 
 #include "util/logging.h"
@@ -13,7 +14,7 @@ namespace {
 /// Appends `scale * block` to a sparse column at row offset `offset`,
 /// skipping exact zeros (so λ = 0 blocks collapse away).
 void AppendBlock(SparseColumn* column, size_t offset, double scale,
-                 const Vector& block) {
+                 std::span<const double> block) {
   for (size_t i = 0; i < block.size(); ++i) {
     double value = scale * block[i];
     if (value != 0.0) column->push_back({offset + i, value});
@@ -84,11 +85,11 @@ MaterializedSystem BuildCrsSystem(const InstanceVectors& vectors,
   std::vector<SparseColumn> columns;
   for (size_t j = 0; j < vectors.num_reviews(item); ++j) {
     SparseColumn column;
-    AppendBlock(&column, 0, 1.0, vectors.opinion_columns[item][j]);
+    AppendBlock(&column, 0, 1.0, vectors.items[item]->OpinionColumn(j));
     columns.push_back(std::move(column));
   }
-  return Deduplicate(vectors.tau[item].size(), std::move(columns),
-                     vectors.tau[item]);
+  return Deduplicate(vectors.tau(item).size(), std::move(columns),
+                     vectors.tau(item));
 }
 
 MaterializedSystem BuildCompareSetsSystem(const InstanceVectors& vectors,
@@ -100,23 +101,24 @@ MaterializedSystem BuildCompareSetsPlusSystem(
     const InstanceVectors& vectors, size_t item, double lambda, double mu,
     const std::vector<Vector>& other_phis) {
   COMPARESETS_CHECK(item < vectors.num_items()) << "item out of range";
-  size_t opinion_rows = vectors.tau[item].size();
+  size_t opinion_rows = vectors.tau(item).size();
   size_t aspect_rows = vectors.gamma.size();
   std::vector<SparseColumn> columns;
   for (size_t j = 0; j < vectors.num_reviews(item); ++j) {
     SparseColumn column;
-    AppendBlock(&column, 0, 1.0, vectors.opinion_columns[item][j]);
-    AppendBlock(&column, opinion_rows, lambda, vectors.aspect_columns[item][j]);
+    AppendBlock(&column, 0, 1.0, vectors.items[item]->OpinionColumn(j));
+    AppendBlock(&column, opinion_rows, lambda,
+                vectors.items[item]->AspectColumn(j));
     // One μ-scaled aspect block per other item (identical rows; the
     // corresponding target blocks differ — Algorithm 1 line 4).
     size_t offset = opinion_rows + aspect_rows;
     for (size_t t = 0; t < other_phis.size(); ++t) {
-      AppendBlock(&column, offset, mu, vectors.aspect_columns[item][j]);
+      AppendBlock(&column, offset, mu, vectors.items[item]->AspectColumn(j));
       offset += aspect_rows;
     }
     columns.push_back(std::move(column));
   }
-  Vector target = vectors.tau[item];
+  Vector target = vectors.tau(item);
   target.AppendScaled(lambda, vectors.gamma);
   for (const Vector& phi : other_phis) target.AppendScaled(mu, phi);
   size_t rows = target.size();

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <cstdint>
 #include <memory>
@@ -926,6 +927,117 @@ TEST(SelectionEngineTest, TraceRingEvictsOldestAtCapacity) {
   ASSERT_EQ(traces.size(), 2u);
   EXPECT_EQ(traces[0].request_id, 3u);
   EXPECT_EQ(traces[1].request_id, 4u);
+}
+
+/// A copy of `base` in which product `id` gained one review (a fresh
+/// Product object; every other product stays shared with `base`).
+Corpus WithOneMoreReview(const Corpus& base, const std::string& id) {
+  Corpus grown = base;
+  Product* product = grown.MutableProduct(grown.IndexOf(id));
+  Review extra = product->reviews[0];
+  extra.id += "-again";
+  product->reviews.push_back(extra);
+  return grown;
+}
+
+TEST(SelectionEngineTest, OneProductDeltaRebuildsOnlyThatItem) {
+  auto config = DefaultConfig("Cellphone", 60);
+  config.status().CheckOK();
+  Corpus base = GenerateCorpus(config.value()).ValueOrDie();
+  base.Finalize();
+  auto old_snapshot = IndexedCorpus::Build(base).ValueOrDie();
+  SelectRequest request = RequestFor(*old_snapshot, 0);
+  const ProblemInstance& instance = old_snapshot->instances()[0];
+  const uint64_t items = instance.num_items();
+  ASSERT_GE(items, 3u);
+
+  EngineOptions options;
+  options.threads = 1;
+  SelectionEngine engine(old_snapshot, options);
+  auto counters = [&] {
+    MetricsSnapshot snapshot = engine.SnapshotMetrics();
+    return std::make_pair(
+        CounterValue(snapshot, "engine.item_vectors_built"),
+        CounterValue(snapshot, "engine.item_vectors_reused"));
+  };
+  EXPECT_NE(engine.DumpMetrics().find("counter engine.item_vectors_built 0"),
+            std::string::npos);
+  ASSERT_TRUE(engine.Select(request).ok());
+  EXPECT_EQ(counters(), std::make_pair(items, uint64_t{0}));
+
+  // One comparative product of the instance gains a review.
+  const std::string changed = instance.items[1]->id;
+  auto new_snapshot =
+      IndexedCorpus::Build(WithOneMoreReview(base, changed)).ValueOrDie();
+  ASSERT_TRUE(engine.Publish(new_snapshot, 1).ok());
+  auto answer = engine.Select(request);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_FALSE(answer.value().cache_hit);
+  ASSERT_EQ(answer.value().item_ids.size(), items);
+  // The changed item is built again; every other item is reused.
+  EXPECT_EQ(counters(), std::make_pair(items + 1, items - 1));
+
+  auto reference = SelectionEngine(new_snapshot).Select(request);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_EQ(answer.value().item_ids, reference.value().item_ids);
+  EXPECT_EQ(answer.value().selections, reference.value().selections);
+  EXPECT_EQ(answer.value().objective, reference.value().objective);
+}
+
+TEST(SelectionEngineTest, PoolStealsGaugeIsExportedAndMonotonic) {
+  auto corpus = MakeCorpus(60);
+  EngineOptions options;
+  options.threads = 4;
+  SelectionEngine engine(corpus, options);
+  auto steals = [&] {
+    MetricsSnapshot snapshot = engine.SnapshotMetrics();
+    return GaugeValue(snapshot, "pool.steals");
+  };
+  EXPECT_NE(engine.DumpMetrics().find("gauge pool.steals "),
+            std::string::npos);
+  double before = steals();
+  std::vector<SelectRequest> batch;
+  for (size_t i = 0; i < std::min<size_t>(8, corpus->num_instances()); ++i) {
+    batch.push_back(RequestFor(*corpus, i, "CompaReSetS+"));
+  }
+  for (const auto& answer : engine.SelectBatch(batch)) {
+    ASSERT_TRUE(answer.ok()) << answer.status();
+  }
+  double after = steals();
+  EXPECT_GE(after, before);
+  EXPECT_GE(steals(), after);
+}
+
+TEST(SelectionEngineTest, ZeroReviewItemGivesFiniteObjectiveOrStatus) {
+  auto config = DefaultConfig("Cellphone", 40);
+  config.status().CheckOK();
+  Corpus base = GenerateCorpus(config.value()).ValueOrDie();
+  base.Finalize();
+  Corpus emptied = base;
+  const ProblemInstance probe = base.BuildInstances()[0];
+  const std::string target = probe.items[0]->id;
+  const std::string silent = probe.items[1]->id;
+  emptied.MutableProduct(emptied.IndexOf(silent))->reviews.clear();
+  auto snapshot = IndexedCorpus::Build(std::move(emptied)).ValueOrDie();
+  ASSERT_TRUE(snapshot->FindProduct(silent)->reviews.empty());
+
+  SelectionEngine engine(snapshot);
+  for (const char* selector :
+       {"Random", "Crs", "CompaReSetSGreedy", "CompaReSetS", "CompaReSetS+"}) {
+    SelectRequest request;
+    request.target_id = target;
+    request.comparative_ids = {silent, probe.items[2]->id};
+    request.selector = selector;
+    auto answer = engine.Select(request);
+    if (answer.ok()) {
+      EXPECT_TRUE(std::isfinite(answer.value().objective)) << selector;
+      EXPECT_TRUE(answer.value().selections[1].empty()) << selector;
+    } else {
+      // The regression selectors refuse an item with nothing to select.
+      EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument)
+          << selector << ": " << answer.status();
+    }
+  }
 }
 
 }  // namespace

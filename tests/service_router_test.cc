@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -491,6 +493,78 @@ TEST(ShardRouterTest, LocalFleetStartsOnePoolOfEngineThreads) {
     EXPECT_EQ(SettledThreadCount(), before + 2);
   }
   EXPECT_EQ(SettledThreadCount(), before);
+}
+
+TEST(ShardRouterTest, ProductSharedAcrossTwoShardsServesBothExactly) {
+  auto full = MakeCorpus(80);
+  RouterOptions options;
+  options.engine.threads = 4;
+  auto router = ShardRouter::Create(full, 2, options).ValueOrDie();
+  // Two instances on different shards holding one product object: each
+  // shard prepares its own item vectors over the shared product, and
+  // both may do so at once.
+  std::vector<SelectRequest> pair;
+  for (const ProblemInstance& a : full->instances()) {
+    for (const ProblemInstance& b : full->instances()) {
+      if (router->ShardForTarget(a.target().id) == 0 &&
+          router->ShardForTarget(b.target().id) == 1 &&
+          std::any_of(a.items.begin(), a.items.end(), [&](const Product* p) {
+            return std::find(b.items.begin(), b.items.end(), p) !=
+                   b.items.end();
+          })) {
+        pair = {SelectRequest{}, SelectRequest{}};
+        pair[0].target_id = a.target().id;
+        pair[1].target_id = b.target().id;
+        break;
+      }
+    }
+    if (!pair.empty()) break;
+  }
+  ASSERT_EQ(pair.size(), 2u) << "no product shared across the two shards";
+  for (int round = 0; round < 2; ++round) {
+    std::vector<Result<SelectResponse>> answers = router->SelectBatch(pair);
+    for (size_t i = 0; i < pair.size(); ++i) {
+      ASSERT_TRUE(answers[i].ok()) << answers[i].status();
+      EXPECT_TRUE(std::isfinite(answers[i].value().objective));
+      auto reference = SelectionEngine(full).Select(pair[i]);
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      EXPECT_EQ(answers[i].value().selections, reference.value().selections);
+      EXPECT_EQ(answers[i].value().objective, reference.value().objective);
+    }
+  }
+}
+
+TEST(ShardRouterTest, DumpReportsTheSharedPoolsStealsOnce) {
+  auto full = MakeCorpus(60);
+  RouterOptions options;
+  options.engine.threads = 4;
+  auto router = ShardRouter::Create(full, 2, options).ValueOrDie();
+  auto steals = [&] {
+    std::string dump = router->DumpMetrics();
+    const std::string line = "gauge pool.steals ";
+    size_t at = dump.find(line);
+    EXPECT_NE(at, std::string::npos) << dump;
+    if (at == std::string::npos) return -1.0;
+    // The router's line precedes the per-shard sections; the rollup
+    // does not sum the one pool once per shard.
+    size_t rollup_end = dump.find("--- shard");
+    size_t second = dump.find(line, at + 1);
+    EXPECT_TRUE(second == std::string::npos || second > rollup_end) << dump;
+    return std::stod(dump.substr(at + line.size()));
+  };
+  double before = steals();
+  std::vector<SelectRequest> batch;
+  for (size_t i = 0; i < 12 && i < full->num_instances(); ++i) {
+    SelectRequest request;
+    request.target_id = full->instances()[i].target().id;
+    batch.push_back(request);
+  }
+  for (const auto& answer : router->SelectBatch(batch)) {
+    ASSERT_TRUE(answer.ok()) << answer.status();
+  }
+  double after = steals();
+  EXPECT_GE(before, 0.0);
+  EXPECT_GE(after, before);
 }
 
 }  // namespace

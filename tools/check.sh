@@ -21,10 +21,12 @@
 #
 # The tsan phase builds with -fsanitize=thread and runs only the suites
 # that exercise the work-stealing scheduler, the admission pipeline, the
-# SLO controller, the router, and the RPC transport — where router
-# scatter, shard-server handler threads and the shard engines' shared
-# pool meet. A data race in the deque hand-off, the lever flips or the
-# scatter/gather fails loudly there; the full suite under TSan would
+# SLO controller, the router, the RPC transport and ingestion — where
+# router scatter, shard-server handler threads, the shard engines'
+# shared pool and concurrent prepares sharing per-product item vectors
+# while a publication drops bundles meet. A data race in the deque
+# hand-off, the lever flips, the scatter/gather or the item store fails
+# loudly there; the full suite under TSan would
 # mostly re-run single-threaded solver math at 10x slowdown for no
 # signal.
 #
@@ -89,7 +91,7 @@ run_tsan() {
   fi
   echo "== [$name] ctest (concurrency suites)"
   if ! ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-      -R 'util_thread_pool_test|core_parallel_determinism_test|service_engine_test|service_intra_parallel_test|service_router_test|service_router_determinism_test|service_slo_test|net_transport_oracle_test'; then
+      -R 'util_thread_pool_test|core_parallel_determinism_test|service_engine_test|service_intra_parallel_test|service_router_test|service_router_determinism_test|service_slo_test|net_transport_oracle_test|service_ingest_delta_test|service_vector_cache_test'; then
     echo "== check.sh: [$name] tests FAILED" >&2
     exit 4
   fi
